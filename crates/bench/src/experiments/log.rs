@@ -182,7 +182,7 @@ pub fn log() -> Vec<Table> {
         n: 1,
         replicas: 1,
         heights: 32,
-        max_batch: 2,
+        max_batch: 1,
         window: 4,
         delta: Duration::from_micros(10),
     };

@@ -155,10 +155,10 @@ pub fn obs() -> Vec<Table> {
     t2.note("batch.drive → consensus. Histograms are log2-bucketed (§ metrics).");
 
     // -----------------------------------------------------------------
-    // Table 3: monitor teeth. The real combiner must run CLEAN; both
-    // seeded combiner mutants duplicate (shard, slot) commit records
-    // across workers and must be flagged by the batch monitor — online,
-    // while the mutant is still running, not in a post-mortem.
+    // Table 3: monitor teeth. The real path must run CLEAN; both seeded
+    // combiner mutants claim the same (log, height) decisions across
+    // workers and must be flagged by the log monitor — online, while the
+    // mutant is still running, not in a post-mortem.
     // -----------------------------------------------------------------
     let mut t3 = Table::new(
         "E23",
@@ -223,8 +223,8 @@ pub fn obs() -> Vec<Table> {
             if obs.clean() { "CLEAN" } else { "VIOLATION" }.to_string(),
         ]);
     }
-    t3.note("Both mutants keep per-worker commit counters, so concurrent workers reuse");
-    t3.note("(shard, slot) pairs — the batch monitor's duplicate check fires on the spot.");
+    t3.note("Both mutants keep per-worker height counters, so concurrent workers claim");
+    t3.note("the same (log, height) — the log monitor's double-decide check fires on the spot.");
     t3.note("Monitors are sound, not complete: a flag is a true violation; CLEAN proves");
     t3.note("nothing beyond what was observed.");
 

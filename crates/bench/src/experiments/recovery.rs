@@ -14,7 +14,7 @@ use crate::Table;
 use std::time::Duration;
 use tfr_asynclock::{RawLock, RecoverableRawLock};
 use tfr_chaos::recovery::run_recovery_chaos;
-use tfr_chaos::{random_schedule, MutexChaosConfig, ScheduleConfig};
+use tfr_chaos::{random_schedule, MutexChaosConfig, Observe, ScheduleConfig};
 use tfr_core::mutex::recoverable::RecoverableMutex;
 use tfr_registers::chaos::{points, Fault, FaultAction};
 use tfr_registers::ProcId;
@@ -67,7 +67,7 @@ pub fn recovery() -> Vec<Table> {
             action: FaultAction::CrashRecover(down),
         }];
         let lock = RecoverableMutex::standard(4, delta);
-        let report = run_recovery_chaos(&lock, &cfg(4, 12), &faults);
+        let (report, _) = run_recovery_chaos(&lock, &cfg(4, 12), &faults, Observe::None);
         assert!(!report.mutual_exclusion_violated(), "safety at {label}");
         let repaired = report.recoveries.iter().filter(|r| r.repaired).count();
         let latency_us: Vec<f64> = report
@@ -174,7 +174,7 @@ pub fn recovery() -> Vec<Table> {
             .count();
         let run = |faults: &[Fault]| {
             let lock = RecoverableMutex::standard(8, delta);
-            run_recovery_chaos(&lock, &cfg(8, 10), faults)
+            run_recovery_chaos(&lock, &cfg(8, 10), faults, Observe::None).0
         };
         let report = run(&faults);
         assert!(!report.mutual_exclusion_violated(), "seed {seed}");

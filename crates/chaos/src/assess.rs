@@ -8,7 +8,7 @@
 //! [`convergence_target`] — so a simulator report and a native report for
 //! the same algorithm are directly comparable.
 
-use crate::nemesis::{run_mutex_chaos, run_mutex_chaos_traced, EntrySample, MutexChaosConfig};
+use crate::nemesis::{run_mutex_chaos, EntrySample, MutexChaosConfig, Observe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfr_asynclock::RawLock;
@@ -177,7 +177,7 @@ pub fn assess_native_mutex<L: RawLock>(
 ) -> ResilienceReport {
     // Requirement 2: ψ from a fault-free run (still under a session, for
     // isolation from concurrent chaos in the process).
-    let clean = run_mutex_chaos(&make_lock(), &cfg.workload(), &[]);
+    let (clean, _) = run_mutex_chaos(&make_lock(), &cfg.workload(), &[], Observe::None);
     assert!(
         !clean.mutual_exclusion_violated() && clean.crashed.is_empty(),
         "the fault-free run must be clean"
@@ -195,7 +195,12 @@ pub fn assess_native_mutex<L: RawLock>(
     );
 
     // Requirements 1 + 3: the burst run.
-    let burst = run_mutex_chaos(&make_lock(), &cfg.workload(), &burst_schedule(cfg));
+    let (burst, _) = run_mutex_chaos(
+        &make_lock(),
+        &cfg.workload(),
+        &burst_schedule(cfg),
+        Observe::None,
+    );
     let safe_during_failures = !burst.mutual_exclusion_violated();
     let live_after_failures = burst.completed.len() == cfg.n;
     let delta = Delta::from_ticks((cfg.delta.as_micros() as u64).max(1));
@@ -237,7 +242,12 @@ pub fn assess_native_mutex_traced<L: RawLock>(
     cfg: &NativeAssessConfig,
     tracer: &Arc<Tracer>,
 ) -> TracedAssessment {
-    let clean = run_mutex_chaos(&make_lock(Trace::disabled()), &cfg.workload(), &[]);
+    let (clean, _) = run_mutex_chaos(
+        &make_lock(Trace::disabled()),
+        &cfg.workload(),
+        &[],
+        Observe::None,
+    );
     assert!(
         !clean.mutual_exclusion_violated() && clean.crashed.is_empty(),
         "the fault-free run must be clean"
@@ -255,7 +265,12 @@ pub fn assess_native_mutex_traced<L: RawLock>(
     );
 
     let burst_lock = make_lock(Trace::attached(Arc::clone(tracer)));
-    let burst = run_mutex_chaos_traced(&burst_lock, &cfg.workload(), &burst_schedule(cfg), tracer);
+    let (burst, _) = run_mutex_chaos(
+        &burst_lock,
+        &cfg.workload(),
+        &burst_schedule(cfg),
+        Observe::Traced(tracer),
+    );
     let safe_during_failures = !burst.mutual_exclusion_violated();
     let live_after_failures = burst.completed.len() == cfg.n;
     let delta = Delta::from_ticks((cfg.delta.as_micros() as u64).max(1));

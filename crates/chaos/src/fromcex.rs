@@ -101,7 +101,7 @@ pub struct CompiledViolation {
 /// ```
 /// use std::time::Duration;
 /// use tfr_chaos::fromcex::fischer_faults_from_counterexample;
-/// use tfr_chaos::run_mutex_chaos;
+/// use tfr_chaos::{run_mutex_chaos, Observe};
 /// use tfr_core::mutex::fischer::{Fischer, FischerSpec};
 ///
 /// let cex = tfr_core::verify::fischer_counterexample(2).unwrap();
@@ -109,7 +109,7 @@ pub struct CompiledViolation {
 /// let compiled =
 ///     fischer_faults_from_counterexample(&cex, 2, x, Duration::from_micros(500));
 /// let lock = Fischer::new(2, compiled.delta);
-/// let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults);
+/// let (report, _) = run_mutex_chaos(&lock, &compiled.config, &compiled.faults, Observe::None);
 /// assert!(report.mutual_exclusion_violated());
 /// ```
 pub fn fischer_faults_from_counterexample(
@@ -371,13 +371,13 @@ mod tests {
 
     #[test]
     fn compiled_schedule_reproduces_the_violation_natively() {
-        use crate::run_mutex_chaos;
+        use crate::{run_mutex_chaos, Observe};
         use tfr_core::mutex::fischer::Fischer;
 
         let cex = tfr_core::verify::fischer_counterexample(2).expect("Fischer must break");
         let c = fischer_faults_from_counterexample(&cex, 2, X, D);
         let lock = Fischer::new(2, c.delta);
-        let report = run_mutex_chaos(&lock, &c.config, &c.faults);
+        let (report, _) = run_mutex_chaos(&lock, &c.config, &c.faults, Observe::None);
         assert!(
             report.mutual_exclusion_violated(),
             "native replay must reproduce the model violation: {report:?}"

@@ -45,10 +45,12 @@
 //!   `tfr_net::QuorumSpace`. Every schedule ends healed, so experiments
 //!   finish on a connected network and convergence can be measured.
 //!
-//! Every run has a traced variant (`run_mutex_chaos_traced`,
-//! `run_consensus_chaos_traced`, `assess_native_mutex_traced`) feeding a
-//! `tfr_telemetry::Tracer`: injection points double as trace points, fired
-//! faults become timeline events, and the assessment also reports its
+//! There is one runner per workload, and each takes one [`Observe`]
+//! option: none, traced into a `tfr_telemetry::Tracer` (injection points
+//! double as trace points, fired faults become timeline events), or
+//! observed — traced with a live `tfr_obs::Collector` streaming the run
+//! through the online monitors, whose `ObsReport` the runner returns.
+//! The traced assessment (`assess_native_mutex_traced`) also reports its
 //! convergence time measured off the event stream.
 //!
 //! # Example: break Fischer, spare Algorithm 3
@@ -83,15 +85,11 @@ pub use assess::{
 };
 pub use fromcex::{fischer_faults_from_counterexample, CompiledViolation};
 pub use nemesis::{
-    hunt_fischer_violation, run_consensus_chaos, run_consensus_chaos_observed,
-    run_consensus_chaos_traced, run_fischer_violation, run_mutex_chaos, run_mutex_chaos_observed,
-    run_mutex_chaos_traced, ConsensusChaosReport, MutexChaosConfig, MutexChaosReport,
-    ViolationSetup,
+    hunt_fischer_violation, run_consensus_chaos, run_fischer_violation, run_mutex_chaos,
+    ConsensusChaosReport, MutexChaosConfig, MutexChaosReport, Observe, ViolationSetup,
 };
 pub use netfault::{
     apply_net_op, apply_net_schedule, random_net_schedule, NetFaultOp, NetFaultStep,
 };
-pub use recovery::{
-    run_recovery_chaos, run_recovery_chaos_traced, RecoveryChaosReport, RecoverySample,
-};
+pub use recovery::{run_recovery_chaos, RecoveryChaosReport, RecoverySample};
 pub use schedule::{random_schedule, shrink, ScheduleConfig};

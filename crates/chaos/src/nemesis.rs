@@ -41,6 +41,42 @@ pub(crate) fn hold(d: Duration) {
     }
 }
 
+/// How a chaos run is observed — the one option every runner takes.
+#[derive(Debug, Clone, Default)]
+pub enum Observe<'t> {
+    /// No telemetry.
+    #[default]
+    None,
+    /// Telemetry on `tracer`: workers register with
+    /// `tfr_telemetry::with_pid` and a [`ChaosTraceObserver`] turns
+    /// injection-point visits and fired faults into events. Build the
+    /// algorithm with its own `with_trace(Trace::attached(...))` on the
+    /// same tracer to get its events on the same timeline.
+    Traced(&'t Arc<Tracer>),
+    /// Traced, with a live [`Collector`] streaming the rings through the
+    /// online monitors for the duration of the run; the runner returns
+    /// its [`ObsReport`].
+    Observed(&'t Arc<Tracer>, CollectorConfig),
+}
+
+impl<'t> Observe<'t> {
+    /// Runs `body` (handed the tracer, if any) under this observation.
+    pub(crate) fn run<R>(
+        &self,
+        body: impl FnOnce(Option<&'t Arc<Tracer>>) -> R,
+    ) -> (R, Option<ObsReport>) {
+        match self {
+            Observe::None => (body(None), None),
+            Observe::Traced(tracer) => (body(Some(tracer)), None),
+            Observe::Observed(tracer, cfg) => {
+                let collector = Collector::spawn(Arc::clone(tracer), cfg.clone());
+                let report = body(Some(tracer));
+                (report, Some(collector.finish()))
+            }
+        }
+    }
+}
+
 /// Workload shape for [`run_mutex_chaos`].
 #[derive(Debug, Clone)]
 pub struct MutexChaosConfig {
@@ -120,7 +156,9 @@ impl MutexChaosReport {
     }
 }
 
-/// Runs `lock` under `faults` with online mutual exclusion checking.
+/// Runs `lock` under `faults` with online mutual exclusion checking,
+/// observed as `obs` says (the [`ObsReport`] comes back for
+/// [`Observe::Observed`]).
 ///
 /// Installs a [`ChaosSession`] for the duration of the run — *also when
 /// `faults` is empty*, so baseline runs are isolated from any concurrent
@@ -142,7 +180,7 @@ impl MutexChaosReport {
 ///
 /// ```
 /// use std::time::Duration;
-/// use tfr_chaos::{run_mutex_chaos, MutexChaosConfig};
+/// use tfr_chaos::{run_mutex_chaos, MutexChaosConfig, Observe};
 /// use tfr_core::mutex::resilient::ResilientMutex;
 /// use tfr_registers::chaos::{points, Fault, FaultAction};
 /// use tfr_registers::ProcId;
@@ -157,7 +195,7 @@ impl MutexChaosReport {
 /// }];
 /// let mut cfg = MutexChaosConfig::new(2);
 /// cfg.iterations = 3;
-/// let report = run_mutex_chaos(&lock, &cfg, &faults);
+/// let (report, _) = run_mutex_chaos(&lock, &cfg, &faults, Observe::None);
 /// assert!(!report.mutual_exclusion_violated());
 /// assert_eq!(report.max_in_cs, 1);
 /// assert_eq!(report.completed.len(), 2, "stalls never kill a thread");
@@ -167,46 +205,9 @@ pub fn run_mutex_chaos<L: RawLock>(
     lock: &L,
     cfg: &MutexChaosConfig,
     faults: &[Fault],
-) -> MutexChaosReport {
-    run_mutex_chaos_inner(lock, cfg, faults, None)
-}
-
-/// [`run_mutex_chaos`] with telemetry: workers register with
-/// `tfr_telemetry::with_pid` (so `emit_current`-based layers like
-/// `AdaptiveDelta` attribute events correctly) and a
-/// [`ChaosTraceObserver`] is installed for the run, turning every
-/// injection-point visit and fired fault into trace events in `tracer`.
-///
-/// Build the lock with its own `with_trace(Trace::attached(...))` on the
-/// same tracer to get lock-level spans on the same timeline.
-pub fn run_mutex_chaos_traced<L: RawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> MutexChaosReport {
-    run_mutex_chaos_inner(lock, cfg, faults, Some(tracer))
-}
-
-/// [`run_mutex_chaos_traced`] with a live [`Collector`] attached for the
-/// duration of the run: the online monitors stream `tracer`'s rings
-/// *while the nemesis fires* and the returned [`ObsReport`] says whether
-/// (and when) an invariant broke — independently of the workload's own
-/// `in_cs` accounting.
-///
-/// Build the lock with `with_trace(Trace::attached(...))` on the same
-/// tracer; the mutex monitor watches the lock's own
-/// `LockAcquired`/`LockReleased` events.
-pub fn run_mutex_chaos_observed<L: RawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-    obs: CollectorConfig,
-) -> (MutexChaosReport, ObsReport) {
-    let collector = Collector::spawn(Arc::clone(tracer), obs);
-    let report = run_mutex_chaos_inner(lock, cfg, faults, Some(tracer));
-    (report, collector.finish())
+    obs: Observe<'_>,
+) -> (MutexChaosReport, Option<ObsReport>) {
+    obs.run(|tracer| run_mutex_chaos_inner(lock, cfg, faults, tracer))
 }
 
 fn run_mutex_chaos_inner<L: RawLock>(
@@ -325,7 +326,8 @@ pub struct ConsensusChaosReport {
 }
 
 /// Runs Algorithm 1 natively: one proposer thread per input, under
-/// `faults`. Algorithm 1 is wait-free, so — unlike the mutex nemesis —
+/// `faults`, observed as `obs` says (with a trace, the consensus object
+/// traces its rounds and decision on the tracer). Algorithm 1 is wait-free, so — unlike the mutex nemesis —
 /// crash-stops are legal at *any* point, including between observing
 /// `x[r, v̄] = 0` and writing `decide`.
 ///
@@ -336,7 +338,7 @@ pub struct ConsensusChaosReport {
 ///
 /// ```
 /// use std::time::Duration;
-/// use tfr_chaos::run_consensus_chaos;
+/// use tfr_chaos::{run_consensus_chaos, Observe};
 /// use tfr_registers::chaos::{points, Fault, FaultAction};
 /// use tfr_registers::ProcId;
 ///
@@ -346,7 +348,8 @@ pub struct ConsensusChaosReport {
 ///     nth: 1,
 ///     action: FaultAction::Crash,
 /// }];
-/// let report = run_consensus_chaos(Duration::from_micros(50), &[true, false, true], &faults);
+/// let delta = Duration::from_micros(50);
+/// let (report, _) = run_consensus_chaos(delta, &[true, false, true], &faults, Observe::None);
 /// assert!(report.agreement && report.validity);
 /// assert_eq!(report.crashed, vec![ProcId(2)]);
 /// assert_eq!(report.decisions.len(), 2, "the two survivors return");
@@ -355,38 +358,9 @@ pub fn run_consensus_chaos(
     delta: Duration,
     inputs: &[bool],
     faults: &[Fault],
-) -> ConsensusChaosReport {
-    run_consensus_chaos_inner(delta, inputs, faults, None)
-}
-
-/// [`run_consensus_chaos`] with telemetry: the consensus object is built
-/// with a trace on `tracer`, proposers register with
-/// `tfr_telemetry::with_pid` (Algorithm 1's `propose` carries no process
-/// id), and a [`ChaosTraceObserver`] turns injection-point traffic and
-/// fired faults into events on the same timeline.
-pub fn run_consensus_chaos_traced(
-    delta: Duration,
-    inputs: &[bool],
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> ConsensusChaosReport {
-    run_consensus_chaos_inner(delta, inputs, faults, Some(tracer))
-}
-
-/// [`run_consensus_chaos_traced`] with a live [`Collector`]: the online
-/// monitors stream the run's events while the schedule fires, and the
-/// returned [`ObsReport`] carries fault counts, stage tracks, and any
-/// flagged invariant violations.
-pub fn run_consensus_chaos_observed(
-    delta: Duration,
-    inputs: &[bool],
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-    obs: CollectorConfig,
-) -> (ConsensusChaosReport, ObsReport) {
-    let collector = Collector::spawn(Arc::clone(tracer), obs);
-    let report = run_consensus_chaos_inner(delta, inputs, faults, Some(tracer));
-    (report, collector.finish())
+    obs: Observe<'_>,
+) -> (ConsensusChaosReport, Option<ObsReport>) {
+    obs.run(|tracer| run_consensus_chaos_inner(delta, inputs, faults, tracer))
 }
 
 fn run_consensus_chaos_inner(
@@ -546,7 +520,7 @@ pub fn violation_setup_from_seed(seed: u64) -> ViolationSetup {
 pub fn run_fischer_violation(seed: u64) -> (ViolationSetup, MutexChaosReport) {
     let setup = violation_setup_from_seed(seed);
     let lock = Fischer::new(2, setup.delta);
-    let report = run_mutex_chaos(&lock, &setup.config, &setup.faults);
+    let (report, _) = run_mutex_chaos(&lock, &setup.config, &setup.faults, Observe::None);
     (setup, report)
 }
 
@@ -585,7 +559,7 @@ pub fn run_resilient_under_violation_schedule(seed: u64) -> MutexChaosReport {
         })
         .collect();
     let lock = tfr_core::mutex::resilient::ResilientMutex::standard(2, setup.delta);
-    run_mutex_chaos(&lock, &setup.config, &faults)
+    run_mutex_chaos(&lock, &setup.config, &faults, Observe::None).0
 }
 
 /// Convenience: a seeded random mutex schedule via
@@ -608,7 +582,7 @@ mod tests {
     #[test]
     fn fault_free_baseline_is_clean() {
         let lock = ResilientMutex::standard(3, Duration::from_micros(100));
-        let report = run_mutex_chaos(&lock, &MutexChaosConfig::new(3), &[]);
+        let (report, _) = run_mutex_chaos(&lock, &MutexChaosConfig::new(3), &[], Observe::None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.max_in_cs, 1);
         assert_eq!(report.completed.len(), 3);
@@ -637,12 +611,13 @@ mod tests {
             nth: 1,
             action: FaultAction::Crash,
         }];
-        let _ = run_mutex_chaos(&lock, &MutexChaosConfig::new(2), &faults);
+        let _ = run_mutex_chaos(&lock, &MutexChaosConfig::new(2), &faults, Observe::None);
     }
 
     #[test]
     fn consensus_solo_under_no_faults() {
-        let report = run_consensus_chaos(Duration::from_micros(50), &[true], &[]);
+        let (report, _) =
+            run_consensus_chaos(Duration::from_micros(50), &[true], &[], Observe::None);
         assert_eq!(report.final_decision, Some(true));
         assert!(report.agreement && report.validity);
         assert!(report.crashed.is_empty());
@@ -663,7 +638,7 @@ mod tests {
         }];
         let mut cfg = MutexChaosConfig::new(2);
         cfg.iterations = 3;
-        let report = run_mutex_chaos_traced(&lock, &cfg, &faults, &tracer);
+        let (report, _) = run_mutex_chaos(&lock, &cfg, &faults, Observe::Traced(&tracer));
         assert!(!report.mutual_exclusion_violated());
         let events = tracer.events();
         let fired: Vec<_> = events
@@ -693,11 +668,11 @@ mod tests {
     fn traced_consensus_run_records_rounds_and_decision() {
         use tfr_telemetry::EventKind;
         let tracer = Arc::new(Tracer::new(3));
-        let report = run_consensus_chaos_traced(
+        let (report, _) = run_consensus_chaos(
             Duration::from_micros(50),
             &[true, false, true],
             &[],
-            &tracer,
+            Observe::Traced(&tracer),
         );
         assert!(report.agreement && report.validity);
         let events = tracer.events();

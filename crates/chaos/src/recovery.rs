@@ -17,11 +17,12 @@
 //! [`ScheduleConfig::recoverable_mutex`](crate::schedule::ScheduleConfig::recoverable_mutex)
 //! reproduces the same crashes at the same points.
 
-use crate::nemesis::{hold, MutexChaosConfig};
+use crate::nemesis::{hold, MutexChaosConfig, Observe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tfr_asynclock::RecoverableRawLock;
+use tfr_obs::ObsReport;
 use tfr_registers::chaos::{
     self, install_point_observer, points, ChaosSession, Fault, FaultAction, FiredFault,
 };
@@ -118,7 +119,7 @@ impl RecoveryChaosReport {
 /// ```
 /// use std::time::Duration;
 /// use tfr_chaos::recovery::run_recovery_chaos;
-/// use tfr_chaos::MutexChaosConfig;
+/// use tfr_chaos::{MutexChaosConfig, Observe};
 /// use tfr_core::mutex::recoverable::RecoverableMutex;
 /// use tfr_registers::chaos::{points, Fault, FaultAction};
 /// use tfr_registers::ProcId;
@@ -132,7 +133,7 @@ impl RecoveryChaosReport {
 /// }];
 /// let mut cfg = MutexChaosConfig::new(2);
 /// cfg.iterations = 3;
-/// let report = run_recovery_chaos(&lock, &cfg, &faults);
+/// let (report, _) = run_recovery_chaos(&lock, &cfg, &faults, Observe::None);
 /// assert!(!report.mutual_exclusion_violated());
 /// assert_eq!(report.completed.len(), 2, "the crashed process rejoined");
 /// assert_eq!(report.cs_repairs(), 1, "its recovery released the CS");
@@ -141,23 +142,9 @@ pub fn run_recovery_chaos<L: RecoverableRawLock>(
     lock: &L,
     cfg: &MutexChaosConfig,
     faults: &[Fault],
-) -> RecoveryChaosReport {
-    run_recovery_chaos_inner(lock, cfg, faults, None)
-}
-
-/// [`run_recovery_chaos`] with telemetry: a [`ChaosTraceObserver`] turns
-/// point visits, fired faults, and crash-recoveries into events on
-/// `tracer`. Build the lock with `with_trace(Trace::attached(...))` on
-/// the same tracer and each `CrashRecover` event pairs with the
-/// `Recovered` the lock emits, giving
-/// `tfr_telemetry::recovery_spans_from_events` full down+repair spans.
-pub fn run_recovery_chaos_traced<L: RecoverableRawLock>(
-    lock: &L,
-    cfg: &MutexChaosConfig,
-    faults: &[Fault],
-    tracer: &Arc<Tracer>,
-) -> RecoveryChaosReport {
-    run_recovery_chaos_inner(lock, cfg, faults, Some(tracer))
+    obs: Observe<'_>,
+) -> (RecoveryChaosReport, Option<ObsReport>) {
+    obs.run(|tracer| run_recovery_chaos_inner(lock, cfg, faults, tracer))
 }
 
 fn run_recovery_chaos_inner<L: RecoverableRawLock>(
@@ -324,7 +311,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(300)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(3), &faults);
+        let (report, _) = run_recovery_chaos(&lock, &quick_cfg(3), &faults, Observe::None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.max_in_cs, 1);
         assert_eq!(report.completed.len(), 3, "everyone rejoins and finishes");
@@ -346,7 +333,7 @@ mod tests {
             nth: 2,
             action: FaultAction::CrashRecover(Duration::from_micros(200)),
         }];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let (report, _) = run_recovery_chaos(&lock, &quick_cfg(2), &faults, Observe::None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.completed.len(), 2);
         assert_eq!(report.recoveries.len(), 1);
@@ -373,7 +360,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(100)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let (report, _) = run_recovery_chaos(&lock, &quick_cfg(2), &faults, Observe::None);
         assert_eq!(report.crashed, vec![ProcId(0)]);
         assert_eq!(report.completed, vec![ProcId(1)]);
         assert_eq!(report.fired.len(), 1, "only the crash-stop fired");
@@ -398,7 +385,7 @@ mod tests {
                 action: FaultAction::CrashRecover(Duration::from_micros(100)),
             },
         ];
-        let report = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let (report, _) = run_recovery_chaos(&lock, &quick_cfg(2), &faults, Observe::None);
         assert!(!report.mutual_exclusion_violated());
         assert_eq!(report.completed.len(), 2);
         let incs: Vec<u64> = report.recoveries.iter().map(|r| r.incarnation).collect();
@@ -416,7 +403,7 @@ mod tests {
             nth: 1,
             action: FaultAction::CrashRecover(Duration::from_micros(100)),
         }];
-        let _ = run_recovery_chaos(&lock, &quick_cfg(2), &faults);
+        let _ = run_recovery_chaos(&lock, &quick_cfg(2), &faults, Observe::None);
     }
 
     /// Satellite pin: the paper's crash-stop lock, *without* the

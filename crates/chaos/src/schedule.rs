@@ -150,15 +150,16 @@ impl ScheduleConfig {
         }
     }
 
-    /// A schedule shape for the sharded object service: shard logs bottom
-    /// out in consensus instances (so those points stay timing-sensitive)
-    /// and the service adds its own two — the announce publication
-    /// ([`points::UNIVERSAL_ANNOUNCE`]) and the combiner's batch proposal
-    /// ([`points::UNIVERSAL_COMBINE`]). The construction is wait-free, so
-    /// permanent crash-stops are legal anywhere; crash-*recoveries* are
-    /// confined to the two universal points, because those are the places
-    /// a fresh incarnation provably resynchronises from the registers
-    /// (the announce counter and arena mark are register-backed).
+    /// A schedule shape for the sharded object service: every shard is a
+    /// replicated log, so its heights bottom out in consensus instances
+    /// (those points stay timing-sensitive) and the log adds its announce
+    /// ([`points::LOG_ANNOUNCE`]) and record proposal
+    /// ([`points::LOG_PROPOSE`]) points. Announced ops are committed by
+    /// whichever worker proposes next (helping), so permanent crash-stops
+    /// are legal anywhere; crash-*recoveries* are confined to the two log
+    /// points, because both sit before any register write of the step
+    /// they guard and a fresh incarnation resynchronises its announce
+    /// counter and applied prefix from the registers.
     pub fn service(n: usize, delta: Duration) -> ScheduleConfig {
         let anywhere = vec![
             points::CONSENSUS_ROUND,
@@ -166,8 +167,8 @@ impl ScheduleConfig {
             points::DELAY,
             points::ARRAY_LOAD,
             points::ARRAY_STORE,
-            points::UNIVERSAL_ANNOUNCE,
-            points::UNIVERSAL_COMBINE,
+            points::LOG_ANNOUNCE,
+            points::LOG_PROPOSE,
         ];
         ScheduleConfig {
             n,
@@ -178,7 +179,7 @@ impl ScheduleConfig {
             min_stall: delta,
             max_stall: delta * 8,
             crash_prob: 0.15,
-            crash_recover_points: vec![points::UNIVERSAL_ANNOUNCE, points::UNIVERSAL_COMBINE],
+            crash_recover_points: vec![points::LOG_ANNOUNCE, points::LOG_PROPOSE],
             recover_prob: 0.35,
             min_down: delta,
             max_down: delta * 8,
@@ -191,12 +192,11 @@ impl ScheduleConfig {
     /// height proposal ([`points::LOG_PROPOSE`]) and the in-order entry
     /// application ([`points::LOG_APPLY`]). Stalls at those points land
     /// exactly on height transitions, mid-pipeline. Crash-*recoveries*
-    /// are confined to the two log points: both sit before any arena or
+    /// are confined to the two log points: both sit before any record or
     /// ack write of the step they guard, so a fresh incarnation provably
     /// resynchronises by replaying the decided registers (crashing
-    /// *inside* a publish could otherwise let a later incarnation
-    /// overwrite an arena block a concurrent adopter already decided
-    /// on). Permanent crash-stops are deliberately absent: the commit
+    /// *inside* a proposal could otherwise let a later incarnation
+    /// overwrite a record a concurrent adopter already decided on). Permanent crash-stops are deliberately absent: the commit
     /// pipeline bounds how far the frontier may run ahead of the
     /// *cluster* applied floor, so every lane's progress is load-bearing
     /// for liveness — a lane that dies for good is a reconfiguration

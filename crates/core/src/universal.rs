@@ -22,33 +22,30 @@
 //!
 //! [`Universal`] keeps a log of consensus *slots* over an arbitrary
 //! [`RegisterSpace`] — every piece of its state (announce counters, op
-//! payloads, batch records, the slots themselves) lives in registers, so
-//! the same object runs over shared memory or a quorum-emulated space.
+//! payloads, the slots themselves) lives in registers, so the same object
+//! runs over shared memory or a quorum-emulated space.
 //!
-//! Slot `s` no longer decides a single `(pid, seq)`: it decides a
-//! **batch** — a record, published in the proposer's append-only arena
-//! before the proposal, listing many announced operations. One consensus
-//! decision therefore commits a whole batch (*flat combining*), which is
-//! what amortizes quorum round trips at service scale. The combining
-//! rule preserves the helping discipline: a combiner building a batch
-//! for slot `s` scans announce counters starting at process `s mod n`,
-//! so every announced operation gains batch priority at least once every
-//! `n` slots — wait-freedom survives the refactor.
+//! An invocation first *announces* its operation, then walks the log
+//! from slot 0, applying every decided slot to a local replica. At the
+//! first undecided slot `s` it proposes on behalf of process `s mod n`
+//! if that process has an announced operation not yet in the log, and
+//! its own operation otherwise — Herlihy's helping rule, which gives
+//! every announced operation a slot within `n` slots of its announce:
+//! the construction is wait-free. Slot `s` decides a process id `p`
+//! (8 bits); the operation it commits is `p`'s next one not yet in the
+//! log, which every replayer agrees on because they all replay the same
+//! prefix.
 //!
-//! Clients drive the object through a per-process [`Session`], which
-//! replays the decided log incrementally (the per-op full scans of the
-//! old `invoke` path became per-*proposal* scans; a quiet object costs a
-//! session one register read per poll). [`Universal::invoke`] remains as
-//! the compatible one-shot wrapper.
+//! Batched state-machine replication over the same consensus — many
+//! operations per decision, pipelined heights, passive replicas — is the
+//! `tfr-log` crate's job; this module stays the paper's construction.
 
 use crate::consensus::NativeConsensus;
 use crate::probe::{OpProbe, Probe};
 use std::sync::Arc;
 use std::time::Duration;
-use tfr_registers::chaos;
 use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
 use tfr_registers::ProcId;
-use tfr_telemetry::{Span, Trace};
 
 /// Wait-free multivalued consensus on `width`-bit values, built from
 /// `width` binary Algorithm 1 instances.
@@ -205,76 +202,20 @@ pub trait Sequential: Send + Sync {
     fn apply(&self, state: &mut Self::State, op: u64) -> u64;
 }
 
-/// Offsets into a proposer's batch arena fit in this many bits; together
-/// with 8 bits of proposer id they form the 32-bit slot decision.
-const ARENA_BITS: u32 = 24;
-/// Width of every slot's [`MultiConsensus`] decision.
-const DECIDED_WIDTH: u32 = ARENA_BITS + 8;
-/// A batch entry packs `(pid << ENTRY_PID_SHIFT) | seq`.
-const ENTRY_PID_SHIFT: u32 = 48;
-
-/// The parent-space regions [`Universal`] tiles via stride-3
+/// The parent-space regions [`Universal`] tiles via stride-2
 /// [`SubSpace`]s.
-const REGIONS: u64 = 3;
+const REGIONS: u64 = 2;
 const REGION_ANNOUNCE: u64 = 0;
-const REGION_ARENA: u64 = 1;
-const REGION_SLOTS: u64 = 2;
+const REGION_SLOTS: u64 = 1;
+/// A slot decides a process id: 8 bits caps the object at 255 processes.
+const SLOT_WIDTH: u32 = 8;
 
 type SlotSpace<S> = SubSpace<SubSpace<Arc<S>>>;
 
-/// One committed batch, as observed by a [`Session`] replaying the log —
-/// the raw material for `BatchCommit` telemetry and batch-size
-/// histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommittedBatch {
-    /// The log slot the batch occupies.
-    pub slot: usize,
-    /// The process whose proposal won the slot.
-    pub proposer: ProcId,
-    /// The batch record's offset in the proposer's arena.
-    pub offset: u64,
-    /// Number of operations the batch committed.
-    pub size: usize,
-}
-
-/// A spec-form audit of the committed log, read straight from the
-/// registers (independent of any [`Sequential::apply`]): the *batch spec
-/// form* of the universal construction. A correct batcher commits, for
-/// every process, exactly the announced prefix — in order, no gaps, no
-/// duplicates, nothing invented.
-#[derive(Debug, Clone)]
-pub struct LogAudit {
-    /// Decided slots, from slot 0 up to the first undecided slot.
-    pub slots_decided: usize,
-    /// Ops committed per process across all decided batches.
-    pub committed: Vec<u64>,
-    /// Announce counters per process, read after the log.
-    pub announced: Vec<u64>,
-    /// Every committed entry extended its process's committed prefix by
-    /// exactly one (no gap, no duplicate, no out-of-order, no invention),
-    /// and every batch record was well-formed.
-    pub contiguous: bool,
-    /// Sizes of the decided batches, in slot order.
-    pub batch_sizes: Vec<usize>,
-}
-
-impl LogAudit {
-    /// Total ops committed across all processes.
-    pub fn total_committed(&self) -> u64 {
-        self.committed.iter().sum()
-    }
-
-    /// The zero-lost-ops verdict: the log is contiguous and every
-    /// announced op of every process has been committed.
-    pub fn complete(&self) -> bool {
-        self.contiguous && self.committed == self.announced
-    }
-}
-
 /// Wait-free linearizable implementation of any [`Sequential`] object from
-/// atomic registers and Algorithm 1 consensus (Herlihy-style universal
-/// construction), with a flat-combining batch path: one consensus decision
-/// commits a whole batch of announced operations.
+/// atomic registers and Algorithm 1 consensus (Herlihy's universal
+/// construction): one announced operation per consensus slot, with
+/// helping.
 ///
 /// # Example
 ///
@@ -287,47 +228,21 @@ impl LogAudit {
 /// assert_eq!(obj.invoke(ProcId(0), 5), 5);  // add 5 → counter = 5
 /// assert_eq!(obj.invoke(ProcId(1), 3), 8);  // add 3 → counter = 8
 /// ```
-///
-/// High-throughput callers announce bursts through a [`Session`] instead
-/// of one `invoke` per op:
-///
-/// ```
-/// use std::time::Duration;
-/// use tfr_core::universal::{Counter, Universal};
-/// use tfr_registers::ProcId;
-///
-/// let obj = Universal::new(Counter, 2, 16, Duration::from_micros(10));
-/// let mut session = obj.session(ProcId(0));
-/// session.announce_burst(&[2, 3, 4]); // one announce, one proposal…
-/// session.drive_pending();
-/// let responses = session.take_responses();
-/// assert_eq!(responses.last(), Some(&(2, 9))); // …commits all three
-/// ```
 pub struct Universal<T: Sequential, S: RegisterSpace = NativeSpace> {
     object: T,
     n: usize,
-    capacity: usize,
-    max_batch: usize,
-    /// Region 0 — announce state. `announced[p]` at `2p`; `arena[p]`
-    /// (the published high-water mark of `p`'s batch arena) at `2p + 1`;
-    /// `p`'s `seq`-th op payload, +1, at `2n + p + seq·n`.
+    /// Region 0 — announce state. `announced[p]` at `p`; `p`'s `seq`-th
+    /// op payload, +1, at `n + p + seq·n`.
     announce: SubSpace<Arc<S>>,
-    /// Region 1 — batch arenas. Process `p`'s arena cell `i` lives at
-    /// `p + i·n`; a batch record at arena offset `o` is `len` at `o`
-    /// (written last) followed by `len` packed entries, each +1.
-    arena: SubSpace<Arc<S>>,
-    /// Region 2 — slot `s` decides which published batch occupies log
-    /// position `s`, packed as `proposer · 2^24 + arena offset`.
+    /// Region 1 — slot `s` decides whose next announced operation
+    /// occupies log position `s`.
     slots: Vec<MultiConsensus<SlotSpace<S>>>,
     probe: Probe,
-    /// Causal-span sink: every combining proposal a [`Session`] makes is
-    /// wrapped in a `"consensus"` span on this trace (disabled by default).
-    trace: Trace,
 }
 
 impl<T: Sequential> Universal<T> {
     /// A universal object for `n` processes over shared memory, accepting
-    /// at most `capacity` batches in total; `delta` is the consensus
+    /// at most `capacity` operations in total; `delta` is the consensus
     /// `delay(Δ)` estimate.
     ///
     /// # Panics
@@ -347,8 +262,7 @@ impl<T: Sequential> Universal<T> {
 impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     /// A universal object over an arbitrary **fresh** register space (the
     /// construction owns all of it; use [`SubSpace`] tiling to share one
-    /// backend among several objects — that is exactly what the sharded
-    /// service does).
+    /// backend among several objects).
     ///
     /// # Panics
     ///
@@ -363,37 +277,20 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
         assert!(n > 0 && n <= 255, "n must be in 1..=255");
         assert!(capacity > 0, "capacity must be positive");
         let announce = SubSpace::new(Arc::clone(&space), REGION_ANNOUNCE, REGIONS);
-        let arena = SubSpace::new(Arc::clone(&space), REGION_ARENA, REGIONS);
-        let slot_region = SubSpace::new(Arc::clone(&space), REGION_SLOTS, REGIONS);
+        let slot_region = SubSpace::new(space, REGION_SLOTS, REGIONS);
         let slots = (0..capacity)
             .map(|s| {
                 let region = SubSpace::new(slot_region.clone(), s as u64, capacity as u64);
-                MultiConsensus::on(Arc::new(region), n, DECIDED_WIDTH, delta)
+                MultiConsensus::on(Arc::new(region), n, SLOT_WIDTH, delta)
             })
             .collect();
         Universal {
             object,
             n,
-            capacity,
-            max_batch: 64,
             announce,
-            arena,
             slots,
             probe: Probe::disabled(),
-            trace: Trace::disabled(),
         }
-    }
-
-    /// Caps how many operations one batch may commit (default 64). Must
-    /// be set before any operation is announced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is 0.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Universal<T, S> {
-        assert!(max_batch > 0, "a batch must hold at least one op");
-        self.max_batch = max_batch;
-        self
     }
 
     /// Attaches an operation probe; `invoke` records an invoke/response
@@ -404,90 +301,26 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
         self
     }
 
-    /// Attaches a causal trace: every combining proposal (the consensus
-    /// act that commits a batch) is wrapped in a `"consensus"` span, so
-    /// an exported span tree connects a client's batch to the quorum
-    /// phases its decision cost.
-    pub fn with_trace(mut self, trace: Trace) -> Universal<T, S> {
-        self.trace = trace;
-        self
-    }
-
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Number of log slots.
+    /// Number of log slots (the total operation capacity).
     pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The per-batch operation cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    #[inline]
-    fn idx_announced(p: usize) -> u64 {
-        2 * p as u64
-    }
-
-    #[inline]
-    fn idx_arena_mark(p: usize) -> u64 {
-        2 * p as u64 + 1
+        self.slots.len()
     }
 
     #[inline]
     fn idx_op(&self, p: usize, seq: u64) -> u64 {
-        2 * self.n as u64 + p as u64 + seq * self.n as u64
-    }
-
-    #[inline]
-    fn idx_arena(&self, p: usize, cell: u64) -> u64 {
-        p as u64 + cell * self.n as u64
-    }
-
-    #[inline]
-    fn pack(pid: usize, offset: u64) -> u64 {
-        ((pid as u64) << ARENA_BITS) | offset
-    }
-
-    #[inline]
-    fn unpack(v: u64) -> (usize, u64) {
-        ((v >> ARENA_BITS) as usize, v & ((1 << ARENA_BITS) - 1))
-    }
-
-    /// Opens a driving session for process `pid`: the handle through
-    /// which operations are announced (singly or in bursts) and the
-    /// committed log is replayed. Sessions of one process are sequential
-    /// — open at most one at a time per `pid`; a fresh session (e.g. a
-    /// recovered incarnation) picks up the process's announce counter and
-    /// arena mark from the registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn session(&self, pid: ProcId) -> Session<'_, T, S> {
-        assert!(pid.0 < self.n, "pid out of range");
-        Session {
-            uni: self,
-            pid,
-            state: self.object.initial(),
-            next_slot: 0,
-            done: vec![0; self.n],
-            announced: self.announce.read(Self::idx_announced(pid.0)),
-            arena_mark: self.announce.read(Self::idx_arena_mark(pid.0)),
-            responses: Vec::new(),
-            commits: Vec::new(),
-        }
+        (self.n + p) as u64 + seq * self.n as u64
     }
 
     /// Invokes `op` (at most 2^64−2) as process `pid`; blocks until the
     /// operation is linearized and returns its response.
     ///
-    /// Wait-free once timing constraints hold: the combining rule gives
-    /// every announced operation batch priority at one slot in every `n`.
+    /// Wait-free once timing constraints hold: the helping rule commits
+    /// every announced operation within `n` slots of its announce.
     ///
     /// # Panics
     ///
@@ -495,302 +328,62 @@ impl<T: Sequential, S: RegisterSpace> Universal<T, S> {
     /// exhausted.
     pub fn invoke(&self, pid: ProcId, op: u64) -> u64 {
         assert!(pid.0 < self.n, "pid out of range");
+        assert!(op < u64::MAX, "op encoding must leave room for +1");
         let token = self.probe.begin(pid, op);
-        let mut session = self.session(pid);
-        let seq = session.announce(op);
-        session.drive_pending();
-        let response = session
-            .responses
-            .iter()
-            .rev()
-            .find(|&&(s, _)| s == seq)
-            .map(|&(_, r)| r)
-            .expect("a driven session has applied its own announced op");
-        self.probe.end(pid, token, response);
-        response
+        // Announce: the payload first, then the counter that publishes it.
+        let seq = self.announce.read(pid.0 as u64);
+        self.announce.write(self.idx_op(pid.0, seq), op + 1);
+        self.announce.write(pid.0 as u64, seq + 1);
+
+        let mut state = self.object.initial();
+        let mut done = vec![0u64; self.n];
+        for (s, slot) in self.slots.iter().enumerate() {
+            let winner = match slot.decision() {
+                Some(w) => w as usize,
+                None => slot.propose(pid, self.helped(s, pid, &done)) as usize,
+            };
+            let mine = winner == pid.0 && done[winner] == seq;
+            let response = self.apply_slot(winner, &mut state, &mut done);
+            if mine {
+                self.probe.end(pid, token, response);
+                return response;
+            }
+        }
+        panic!("universal object capacity exhausted before the operation was linearized");
+    }
+
+    /// Whose operation `pid` proposes at slot `s`: process `s mod n`'s,
+    /// if it has an announced operation not yet in the log (`done` is
+    /// the log prefix's per-process count), else `pid`'s own.
+    fn helped(&self, s: usize, pid: ProcId, done: &[u64]) -> u64 {
+        let p = s % self.n;
+        if p != pid.0 && self.announce.read(p as u64) > done[p] {
+            p as u64
+        } else {
+            pid.0 as u64
+        }
+    }
+
+    /// Applies the slot won by `winner` — its next operation not yet in
+    /// the log — and returns the response.
+    fn apply_slot(&self, winner: usize, state: &mut T::State, done: &mut [u64]) -> u64 {
+        let payload = self.announce.read(self.idx_op(winner, done[winner]));
+        debug_assert!(payload != 0, "a slot only decides an announced op");
+        done[winner] += 1;
+        self.object.apply(state, payload - 1)
     }
 
     /// Replays the committed prefix of the log and returns the current
     /// state (a read-only snapshot; not linearized against in-flight
     /// operations).
     pub fn snapshot(&self) -> T::State {
-        let mut session = self.session(ProcId(0));
-        session.catch_up();
-        session.state
-    }
-
-    /// How many operations process `p` has announced.
-    pub fn announced_count(&self, p: usize) -> u64 {
-        assert!(p < self.n, "pid out of range");
-        self.announce.read(Self::idx_announced(p))
-    }
-
-    /// Process `p`'s `seq`-th announced op payload, if it has been
-    /// announced.
-    pub fn announced_op(&self, p: usize, seq: u64) -> Option<u64> {
-        assert!(p < self.n, "pid out of range");
-        match self.announce.read(self.idx_op(p, seq)) {
-            0 => None,
-            raw => Some(raw - 1),
+        let mut state = self.object.initial();
+        let mut done = vec![0u64; self.n];
+        for slot in &self.slots {
+            let Some(winner) = slot.decision() else { break };
+            self.apply_slot(winner as usize, &mut state, &mut done);
         }
-    }
-
-    /// Audits the committed log against the announce counters — the batch
-    /// spec form (see [`LogAudit`]). Sound at quiescence; mid-run it may
-    /// report announced-but-not-yet-committed ops.
-    pub fn audit(&self) -> LogAudit {
-        let mut committed = vec![0u64; self.n];
-        let mut contiguous = true;
-        let mut batch_sizes = Vec::new();
-        let mut slots_decided = 0;
-        'log: for slot in &self.slots {
-            let Some(d) = slot.decision() else { break };
-            slots_decided += 1;
-            let (q, offset) = Self::unpack(d);
-            let len = self.arena.read(self.idx_arena(q, offset)) as usize;
-            if q >= self.n || len == 0 || len > self.max_batch {
-                contiguous = false;
-                break;
-            }
-            batch_sizes.push(len);
-            for r in 1..=len {
-                let raw = self.arena.read(self.idx_arena(q, offset + r as u64));
-                if raw == 0 {
-                    contiguous = false;
-                    break 'log;
-                }
-                let entry = raw - 1;
-                let p = (entry >> ENTRY_PID_SHIFT) as usize;
-                let seq = entry & ((1 << ENTRY_PID_SHIFT) - 1);
-                if p >= self.n || seq != committed[p] {
-                    contiguous = false;
-                    break 'log;
-                }
-                committed[p] += 1;
-            }
-        }
-        let announced = (0..self.n)
-            .map(|p| self.announce.read(Self::idx_announced(p)))
-            .collect();
-        LogAudit {
-            slots_decided,
-            committed,
-            announced,
-            contiguous,
-            batch_sizes,
-        }
-    }
-}
-
-/// A per-process driving handle for a [`Universal`] object: announce
-/// operations (singly or in bursts), replay the committed log, and
-/// collect responses and batch-commit observations.
-///
-/// The session replays incrementally — it remembers the last slot it
-/// applied, so polling a quiet object costs one register read. Created
-/// by [`Universal::session`].
-pub struct Session<'u, T: Sequential, S: RegisterSpace> {
-    uni: &'u Universal<T, S>,
-    pid: ProcId,
-    state: T::State,
-    next_slot: usize,
-    /// Ops applied per process, i.e. the committed prefix lengths after
-    /// `next_slot` slots — identical across all sessions at the same
-    /// slot, because the log is agreed.
-    done: Vec<u64>,
-    /// Own announce counter (mirrors the register).
-    announced: u64,
-    /// Own arena high-water mark (mirrors the register).
-    arena_mark: u64,
-    /// `(seq, response)` for own ops applied during this session's
-    /// replay.
-    responses: Vec<(u64, u64)>,
-    /// Batches observed committed during this session's replay.
-    commits: Vec<CommittedBatch>,
-}
-
-impl<T: Sequential, S: RegisterSpace> Session<'_, T, S> {
-    /// This session's process id.
-    pub fn pid(&self) -> ProcId {
-        self.pid
-    }
-
-    /// The object state after every slot this session has replayed.
-    pub fn state(&self) -> &T::State {
-        &self.state
-    }
-
-    /// Own ops announced but not yet observed committed.
-    pub fn pending(&self) -> u64 {
-        self.announced - self.done[self.pid.0]
-    }
-
-    /// Announces one operation; returns its sequence number. The op is
-    /// *not* yet linearized — call [`Session::drive_pending`].
-    pub fn announce(&mut self, op: u64) -> u64 {
-        self.announce_burst(&[op])
-    }
-
-    /// Announces a burst of operations with a single counter publication
-    /// — the client half of flat combining — and returns the sequence
-    /// number of the first. Sequence numbers are consecutive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty or an op is `u64::MAX`.
-    pub fn announce_burst(&mut self, ops: &[u64]) -> u64 {
-        assert!(!ops.is_empty(), "announce at least one op");
-        chaos::point(chaos::points::UNIVERSAL_ANNOUNCE);
-        let first = self.announced;
-        for (i, &op) in ops.iter().enumerate() {
-            assert!(op < u64::MAX, "op encoding must leave room for +1");
-            let idx = self.uni.idx_op(self.pid.0, first + i as u64);
-            self.uni.announce.write(idx, op + 1);
-        }
-        self.announced = first + ops.len() as u64;
-        self.uni
-            .announce
-            .write(Universal::<T, S>::idx_announced(self.pid.0), self.announced);
-        first
-    }
-
-    /// Drives the log until every own announced op has been committed and
-    /// applied: replay decided slots; at the first undecided slot, act as
-    /// the combiner — publish a batch of every pending announced op
-    /// (scan order rotates with the slot, preserving helping) and propose
-    /// it. Wait-free once timing constraints hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot capacity is exhausted first.
-    pub fn drive_pending(&mut self) {
-        while self.done[self.pid.0] < self.announced {
-            assert!(
-                self.next_slot < self.uni.capacity,
-                "universal object capacity exhausted before the operation was linearized"
-            );
-            let s = self.next_slot;
-            let decided = match self.uni.slots[s].decision() {
-                Some(d) => d,
-                None => {
-                    chaos::point(chaos::points::UNIVERSAL_COMBINE);
-                    let _consensus = Span::enter(&self.uni.trace, "consensus");
-                    let offset = self.publish_batch(s);
-                    self.uni.slots[s].propose(self.pid, Universal::<T, S>::pack(self.pid.0, offset))
-                }
-            };
-            self.apply_slot(s, decided);
-        }
-    }
-
-    /// Replays every already-decided slot without proposing anything —
-    /// a pure reader's catch-up.
-    pub fn catch_up(&mut self) {
-        while self.next_slot < self.uni.capacity {
-            match self.uni.slots[self.next_slot].decision() {
-                Some(d) => self.apply_slot(self.next_slot, d),
-                None => break,
-            }
-        }
-    }
-
-    /// Takes the `(seq, response)` pairs for own ops applied since the
-    /// last take.
-    pub fn take_responses(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.responses)
-    }
-
-    /// Takes the batches observed committed since the last take.
-    pub fn take_commits(&mut self) -> Vec<CommittedBatch> {
-        std::mem::take(&mut self.commits)
-    }
-
-    /// Builds a batch of pending announced ops for slot `s`, publishes
-    /// its record in the own arena (entries first, then the length cell,
-    /// then the arena mark — all before any proposal references the
-    /// offset), and returns the record's offset.
-    fn publish_batch(&mut self, s: usize) -> u64 {
-        let uni = self.uni;
-        let offset = self.arena_mark;
-        let mut entries: Vec<u64> = Vec::with_capacity(uni.max_batch.min(64));
-        // Combine with rotating priority: scan announce counters starting
-        // at process s mod n, so every process's oldest pending op leads
-        // the batch at one slot in every n — the helping rule that makes
-        // the construction wait-free, now at batch granularity.
-        'scan: for off in 0..uni.n {
-            let p = (s + off) % uni.n;
-            let high = if p == self.pid.0 {
-                self.announced
-            } else {
-                uni.announce.read(Universal::<T, S>::idx_announced(p))
-            };
-            let mut seq = self.done[p];
-            while seq < high {
-                if entries.len() == uni.max_batch {
-                    break 'scan;
-                }
-                entries.push(((p as u64) << ENTRY_PID_SHIFT) | seq);
-                seq += 1;
-            }
-        }
-        debug_assert!(
-            !entries.is_empty(),
-            "the combiner only runs with own ops pending"
-        );
-        let len = entries.len() as u64;
-        assert!(
-            offset + len + 1 < 1 << ARENA_BITS,
-            "per-process batch arena exhausted"
-        );
-        for (r, &entry) in entries.iter().enumerate() {
-            uni.arena
-                .write(uni.idx_arena(self.pid.0, offset + 1 + r as u64), entry + 1);
-        }
-        uni.arena.write(uni.idx_arena(self.pid.0, offset), len);
-        self.arena_mark = offset + 1 + len;
-        uni.announce.write(
-            Universal::<T, S>::idx_arena_mark(self.pid.0),
-            self.arena_mark,
-        );
-        offset
-    }
-
-    /// Applies the batch decided at slot `s` to the replayed state.
-    fn apply_slot(&mut self, s: usize, decided: u64) {
-        let uni = self.uni;
-        let (q, offset) = Universal::<T, S>::unpack(decided);
-        let len = uni.arena.read(uni.idx_arena(q, offset)) as usize;
-        debug_assert!(
-            len >= 1 && len <= uni.max_batch,
-            "a decided batch record is published before its proposal"
-        );
-        let mut size = 0;
-        for r in 1..=len {
-            let raw = uni.arena.read(uni.idx_arena(q, offset + r as u64));
-            debug_assert!(raw != 0, "committed batch entries are published");
-            let entry = raw - 1;
-            let p = (entry >> ENTRY_PID_SHIFT) as usize;
-            let seq = entry & ((1 << ENTRY_PID_SHIFT) - 1);
-            debug_assert_eq!(
-                seq, self.done[p],
-                "batch entries extend each process's committed prefix"
-            );
-            let payload = uni.announce.read(uni.idx_op(p, seq));
-            debug_assert!(payload != 0, "committed ops were announced");
-            let response = uni.object.apply(&mut self.state, payload - 1);
-            if p == self.pid.0 {
-                self.responses.push((seq, response));
-            }
-            self.done[p] += 1;
-            size += 1;
-        }
-        self.commits.push(CommittedBatch {
-            slot: s,
-            proposer: ProcId(q),
-            offset,
-            size,
-        });
-        self.next_slot = s + 1;
+        state
     }
 }
 
@@ -1029,102 +622,16 @@ mod tests {
     }
 
     #[test]
-    fn session_burst_commits_in_one_batch() {
-        let obj = Universal::new(Counter, 2, 8, D).with_max_batch(16);
-        let mut session = obj.session(ProcId(0));
-        let first = session.announce_burst(&[1, 2, 3, 4]);
-        assert_eq!(first, 0);
-        session.drive_pending();
-        let responses = session.take_responses();
-        assert_eq!(responses, vec![(0, 1), (1, 3), (2, 6), (3, 10)]);
-        let commits = session.take_commits();
-        assert_eq!(commits.len(), 1, "one consensus decision, four ops");
-        assert_eq!(commits[0].size, 4);
-        assert_eq!(commits[0].proposer, ProcId(0));
-        assert_eq!(obj.snapshot(), 10);
-    }
-
-    #[test]
-    fn session_respects_max_batch() {
-        let obj = Universal::new(Counter, 1, 8, D).with_max_batch(3);
-        let mut session = obj.session(ProcId(0));
-        session.announce_burst(&[1; 7]);
-        session.drive_pending();
-        let commits = session.take_commits();
-        assert_eq!(
-            commits.iter().map(|c| c.size).collect::<Vec<_>>(),
-            vec![3, 3, 1],
-            "a 7-op burst splits into max_batch-sized batches"
-        );
-        assert_eq!(obj.snapshot(), 7);
-    }
-
-    #[test]
-    fn sessions_combine_across_processes() {
-        // Two processes announce bursts concurrently and drive; every op
-        // commits exactly once and the final state is exact.
-        for _ in 0..10 {
-            let n = 4;
-            let per = 16;
-            let obj = Arc::new(Universal::new(Counter, n, 64, D).with_max_batch(256));
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let obj = Arc::clone(&obj);
-                    std::thread::spawn(move || {
-                        let mut session = obj.session(ProcId(i));
-                        session.announce_burst(&vec![1u64; per]);
-                        session.drive_pending();
-                        session.take_responses().len()
-                    })
-                })
-                .collect();
-            let applied: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-            assert_eq!(applied, n * per, "each own op applied exactly once");
-            assert_eq!(obj.snapshot(), (n * per) as u64);
-            let audit = obj.audit();
-            assert!(audit.complete(), "{audit:?}");
-            assert_eq!(audit.total_committed(), (n * per) as u64);
-        }
-    }
-
-    #[test]
-    fn audit_is_contiguous_and_complete_at_quiescence() {
-        let obj = Universal::new(Counter, 2, 16, D);
-        let mut s0 = obj.session(ProcId(0));
-        let mut s1 = obj.session(ProcId(1));
-        s0.announce_burst(&[5, 6]);
-        s1.announce(7);
-        s0.drive_pending();
-        s1.drive_pending();
-        let audit = obj.audit();
-        assert!(audit.complete(), "{audit:?}");
-        assert_eq!(audit.committed, vec![2, 1]);
-        assert_eq!(audit.total_committed(), 3);
-        assert_eq!(
-            audit.batch_sizes.iter().sum::<usize>(),
-            3,
-            "batches partition the committed ops"
-        );
-    }
-
-    #[test]
-    fn fresh_session_resumes_from_registers() {
-        // A new session for the same pid (e.g. a recovered incarnation)
-        // picks up the announce counter and arena mark from the space and
-        // replays the full log.
-        let obj = Universal::new(Counter, 2, 16, D);
-        let mut s = obj.session(ProcId(0));
-        s.announce_burst(&[10, 20]);
-        s.drive_pending();
-        drop(s);
-        let mut s2 = obj.session(ProcId(0));
-        s2.catch_up();
-        assert_eq!(s2.pending(), 0, "all announced ops already committed");
-        let seq = s2.announce(30);
-        assert_eq!(seq, 2, "sequence numbers continue across sessions");
-        s2.drive_pending();
-        assert_eq!(s2.take_responses(), vec![(0, 10), (1, 30), (2, 60)]);
-        assert_eq!(obj.snapshot(), 60);
+    fn helping_commits_a_silent_process_within_n_slots() {
+        // Process 1 announces (by hand, as a crashed invoker would) and
+        // never drives; process 0's own invoke proposes for it at the
+        // first slot `s` with `s mod 2 == 1`.
+        let obj = Universal::new(Counter, 2, 8, D);
+        obj.announce.write(obj.idx_op(1, 0), 100 + 1);
+        obj.announce.write(1, 1);
+        assert_eq!(obj.invoke(ProcId(0), 1), 1, "slot 0 is p0's own");
+        assert_eq!(obj.invoke(ProcId(0), 1), 102, "slot 1 helps p1 first");
+        assert_eq!(obj.snapshot(), 102);
     }
 
     #[test]

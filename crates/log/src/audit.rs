@@ -2,8 +2,8 @@
 //! replica of the log converged to the same applied prefix.
 //!
 //! The registers are the ground truth: replaying `decision(h)` and the
-//! winning arenas from height 0 reconstructs the one canonical entry
-//! sequence ([`crate::ReplicatedLog::truth`]). Every applier — worker,
+//! winning batch records from height 0 reconstructs the one canonical
+//! entry sequence ([`crate::ReplicatedLog::truth`]). Every applier — worker,
 //! replica, or mutant — records the [`AppliedEntry`] trail of what it
 //! *actually* applied, and [`LogAudit`] checks each trail is an
 //! in-order prefix of the canonical sequence. The chained digest makes
@@ -36,11 +36,20 @@ fn mix(mut x: u64) -> u64 {
 /// `chain(chain(0, b), a)` differ, so an out-of-order applier's digest
 /// diverges from every correct applier's at the first swapped entry.
 pub fn chain_digest(prev: u64, height: u64, winner: u64, ops: &[u64]) -> u64 {
-    let mut d = mix(prev ^ mix(height.wrapping_add(1)) ^ mix(winner.wrapping_add(0x77)));
-    for &op in ops {
-        d = mix(d ^ mix(op.wrapping_add(1)));
-    }
-    d
+    ops.iter()
+        .fold(digest_entry(prev, height, winner), |d, &op| {
+            digest_op(d, op)
+        })
+}
+
+/// [`chain_digest`] before any op: the entry header folded into `prev`.
+pub(crate) fn digest_entry(prev: u64, height: u64, winner: u64) -> u64 {
+    mix(prev ^ mix(height.wrapping_add(1)) ^ mix(winner.wrapping_add(0x77)))
+}
+
+/// [`chain_digest`]'s step for one op of the entry.
+pub(crate) fn digest_op(d: u64, op: u64) -> u64 {
+    mix(d ^ mix(op.wrapping_add(1)))
 }
 
 /// The audit verdict: every applier trail compared against the
@@ -60,6 +69,10 @@ pub struct LogAudit {
     pub divergence: Option<String>,
     /// Total operations committed across all decided heights.
     pub total_ops: u64,
+    /// Ops committed per worker lane across the decided heights.
+    pub committed: Vec<u64>,
+    /// Announce counters per worker lane, read after the log.
+    pub announced: Vec<u64>,
 }
 
 impl LogAudit {
@@ -69,13 +82,26 @@ impl LogAudit {
         self.in_order && self.divergence.is_none()
     }
 
+    /// The zero-lost-ops verdict: the log converged and every announced
+    /// op of every lane has been committed. Sound at quiescence; mid-run
+    /// it may see announced-but-not-yet-committed ops.
+    pub fn complete(&self) -> bool {
+        self.converged() && self.committed == self.announced
+    }
+
     /// The shortest applied prefix across the audited lanes.
     pub fn shortest_prefix(&self) -> u64 {
         self.prefixes.iter().copied().min().unwrap_or(0)
     }
 
-    /// Checks `lanes` against the canonical sequence `truth`.
-    pub fn check(truth: Vec<AppliedEntry>, total_ops: u64, lanes: &[&[AppliedEntry]]) -> LogAudit {
+    /// Checks `lanes` against the canonical sequence `truth`, which
+    /// committed `committed[p]` of worker lane `p`'s `announced[p]` ops.
+    pub fn check(
+        truth: Vec<AppliedEntry>,
+        committed: Vec<u64>,
+        announced: Vec<u64>,
+        lanes: &[&[AppliedEntry]],
+    ) -> LogAudit {
         let mut in_order = true;
         let mut divergence = None;
         let mut prefixes = Vec::with_capacity(lanes.len());
@@ -120,7 +146,9 @@ impl LogAudit {
             prefixes,
             in_order,
             divergence,
-            total_ops,
+            total_ops: committed.iter().sum(),
+            committed,
+            announced,
         }
     }
 }
@@ -147,8 +175,10 @@ mod tests {
     fn identical_prefixes_converge() {
         let t = truth(5);
         let short = &t[..3];
-        let audit = LogAudit::check(t.clone(), 10, &[&t, short]);
+        let audit = LogAudit::check(t.clone(), vec![6, 4], vec![6, 4], &[&t, short]);
         assert!(audit.converged());
+        assert!(audit.complete());
+        assert_eq!(audit.total_ops, 10);
         assert_eq!(audit.shortest_prefix(), 3);
         assert_eq!(audit.heights_decided, 5);
     }
@@ -158,8 +188,9 @@ mod tests {
         let t = truth(4);
         let mut bad = t.clone();
         bad.swap(1, 2);
-        let audit = LogAudit::check(t, 8, &[&bad]);
+        let audit = LogAudit::check(t, vec![8], vec![8], &[&bad]);
         assert!(!audit.converged());
+        assert!(!audit.complete(), "a diverged log is never complete");
         assert!(!audit.in_order);
     }
 
@@ -168,10 +199,18 @@ mod tests {
         let t = truth(4);
         let mut bad = t.clone();
         bad[2].digest ^= 1;
-        let audit = LogAudit::check(t, 8, &[&bad]);
+        let audit = LogAudit::check(t, vec![8], vec![8], &[&bad]);
         assert!(audit.in_order, "heights are still sequential");
         assert!(audit.divergence.is_some());
         assert!(!audit.converged());
+    }
+
+    #[test]
+    fn uncommitted_announces_leave_the_log_incomplete() {
+        let t = truth(2);
+        let audit = LogAudit::check(t.clone(), vec![4, 0], vec![4, 1], &[&t]);
+        assert!(audit.converged(), "what did commit is consistent");
+        assert!(!audit.complete(), "lane 1's announced op is missing");
     }
 
     #[test]

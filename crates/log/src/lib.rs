@@ -1,28 +1,31 @@
-//! Multi-height replicated log: commit pipelining over timing-resilient
-//! consensus, driving log-based state-machine replication.
+//! Multi-height replicated log: the workspace's one batched
+//! state-machine-replication engine, over timing-resilient consensus.
 //!
-//! The workspace's `tfr-core` decides *one* value per consensus object
-//! and its universal construction serializes ops through a single
-//! announce/combine cell. This crate scales that out along a second
-//! axis: a **height-indexed sequence** of [`MultiConsensus`] instances
-//! over one shared [`RegisterSpace`], where height `h` commits one
-//! proposer's whole batch and every replica applies committed batches
-//! in strict height order — classic log-driven state-machine
-//! replication, built from the paper's Δ-tuned primitives.
+//! `tfr-core`'s universal construction (§1.4) commits one announced op
+//! per consensus slot. This crate batches and pipelines it: a
+//! **height-indexed sequence** of [`MultiConsensus`] instances over one
+//! shared [`RegisterSpace`], where workers announce ops in registers,
+//! height `h` commits the batch record of one proposer — every announced
+//! op it found, scanning lanes from `h mod n` (helping), up to
+//! `max_batch` — and every applier applies committed records in strict
+//! height order. A height decides an 8-bit proposer pid, so one
+//! decision costs 8 Algorithm 1 instances however many ops it commits.
+//! The sharded object service (`tfr-service`) runs every shard on it.
 //!
 //! [`MultiConsensus`]: tfr_core::universal::MultiConsensus
 //! [`RegisterSpace`]: tfr_registers::space::RegisterSpace
 //!
-//! The interesting part is **commit pipelining**: deciding height
-//! `h + 1` while `h`'s decision is still propagating to appliers. All
-//! of that logic is a pure, I/O-free [`machine::HeightStateMachine`]
-//! (the Malachite-style split of decision logic from substrate
-//! effects): the machine bounds the decision frontier to at most
-//! `window` heights past the cluster's applied floor, and the drivers
-//! in [`log`] merely execute its [`machine::Effect`]s against the
-//! registers. `window = 1` is the sequential-heights baseline;
-//! `window > 1` overlaps consensus on the next height with the
-//! propagation of the previous one.
+//! Helping keeps the log wait-free: a worker that stops driving still
+//! has its announced ops committed by whoever proposes next. The other
+//! interesting part is **commit pipelining**: deciding height `h + 1`
+//! while `h`'s decision is still propagating to appliers. All of that
+//! logic is a pure, I/O-free [`machine::HeightStateMachine`] (the
+//! Malachite-style split of decision logic from substrate effects): the
+//! machine bounds the decision frontier to at most `window` heights past
+//! the cluster's applied floor, and the drivers in [`log`] merely execute
+//! its [`machine::Effect`]s against the registers. `window = 1` is the
+//! sequential-heights baseline; `window > 1` overlaps consensus on the
+//! next height with the propagation of the previous one.
 //!
 //! Pipelining is safe because *application* stays strictly sequential:
 //! a height's decision is a one-shot consensus outcome, immutable once
@@ -31,19 +34,20 @@
 //! reorder *deciding*, never *applying*. The [`audit::LogAudit`]
 //! mechanizes that claim: every applier lane must be an in-order prefix
 //! of the one register-reconstructed canonical sequence, compared by a
-//! chained order-sensitive digest.
+//! chained order-sensitive digest — and, at quiescence, every announced
+//! op must be committed ([`audit::LogAudit::complete`]).
 //!
 //! Layers:
 //!
 //! * [`machine`] — the pure height state machine (window enforcement,
-//!   lost-batch requeue, strict in-order application).
+//!   pending-op accounting, strict in-order application).
 //! * [`log`] — the register substrate ([`ReplicatedLog`]) and the
 //!   impure drivers: proposing [`LogWorker`]s and passive
 //!   [`LogReplica`]s. Runs unchanged over native atomics or a `tfr-net`
 //!   quorum space.
 //! * [`objects`] — one-shot [`Renaming`] in op-encoded [`Sequential`]
 //!   form, joining `Counter` and `FifoQueue` as replicated objects.
-//! * [`audit`] — applied-prefix convergence checking.
+//! * [`audit`] — applied-prefix convergence and lost-op checking.
 //! * [`mutants`] — intentionally broken appliers
 //!   ([`ReorderingApplier`]) proving the audit and the online prefix
 //!   monitor actually reject out-of-order application.
@@ -52,8 +56,8 @@
 //!
 //! # Example
 //!
-//! A replicated counter: batches commit through per-height consensus,
-//! a passive replica converges to the same applied prefix.
+//! A replicated counter: announced ops commit through per-height
+//! consensus, a passive replica converges to the same applied prefix.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -71,7 +75,7 @@
 //! worker.drive(); // commit through consensus, apply in height order
 //! replica.poll();
 //! assert_eq!(*replica.state(), 12);
-//! assert!(log.audit(&[worker.applied_log(), replica.applied_log()]).converged());
+//! assert!(log.audit(&[worker.applied_log(), replica.applied_log()]).complete());
 //! ```
 
 pub mod audit;

@@ -1,48 +1,49 @@
 //! The pure height state machine: all pipelining decisions, no substrate.
 //!
 //! Following the height/round architecture of Malachite-style consensus
-//! engines, every decision about *what to do next* — publish a batch at
-//! which height, apply which committed entry, stall on the pipeline
-//! window — lives in a deterministic, I/O-free state machine. The
-//! impure driver ([`crate::LogWorker`]) merely executes the returned
-//! [`Effect`]s against the register space and feeds observations back.
-//! That separation is what makes the pipelining logic unit-testable:
-//! the tests below exercise window bounding, in-order application, and
-//! lost-batch requeueing without a single register or thread.
+//! engines, every decision about *what to do next* — propose at which
+//! height, apply which committed entry, stall on the pipeline window —
+//! lives in a deterministic, I/O-free state machine. The impure driver
+//! ([`crate::LogWorker`]) merely executes the returned [`Effect`] against
+//! the register space and feeds observations back. That separation is
+//! what makes the pipelining logic unit-testable: the tests below
+//! exercise window bounding, in-order application, and re-proposing
+//! uncommitted ops without a single register or thread.
 //!
 //! # The pipeline
 //!
 //! Heights are decided in order (a proposer only ever proposes at the
-//! lowest height it has not seen decided), but *application lags
-//! decision*: the machine allows the decision frontier to run up to
-//! `window` heights ahead of the slowest applier in the cluster. With
+//! lowest height it has not seen decided, and only after applying every
+//! height below it), but *application lags decision* on the other lanes:
+//! the machine allows the decision frontier to run up to `window`
+//! heights ahead of the slowest applier in the cluster. With
 //! `window = 1` the machine is the sequential-heights baseline — every
 //! replica must apply height `h` before anyone proposes at `h + 1`.
 //! With `window = w > 1`, consensus on `h + 1` overlaps the propagation
 //! (replica application) of `h` — commit pipelining.
+//!
+//! # Pending ops
+//!
+//! The machine tracks its own lane's announced ops and how many of them
+//! the applied prefix already holds. Whoever wins a height commits ops
+//! of every lane (helping), so "pending" is simply announced minus
+//! committed: there is no per-batch bookkeeping to requeue when another
+//! proposer wins.
 
-use std::collections::VecDeque;
-
-/// An opaque handle to a batch the driver holds the payload for.
-pub type BatchId = u64;
-
-/// What the driver must do next, in order.
+/// What the driver must do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
-    /// Publish the payload of `batch` into this proposer's arena at
-    /// `height` and propose this proposer at that height's consensus
-    /// instance. The driver reports the outcome via
-    /// [`HeightStateMachine::observe_decided`].
+    /// Write this proposer's batch record for `height` and propose it at
+    /// that height's consensus instance. The driver reports the outcome
+    /// via [`HeightStateMachine::observe_decided`].
     Publish {
         /// The height to propose at (the machine's decision frontier).
         height: u64,
-        /// Which pending batch rides the proposal.
-        batch: BatchId,
     },
     /// Read the decision register at `height` and report a decision, if
     /// any, via [`HeightStateMachine::observe_decided`]. Emitted when
-    /// the machine cannot (or need not) propose but the frontier may
-    /// have been advanced by other proposers.
+    /// the lane has nothing to propose but the frontier may have been
+    /// advanced by other proposers.
     Poll {
         /// The frontier height to poll.
         height: u64,
@@ -67,18 +68,15 @@ pub enum Effect {
 /// use tfr_log::machine::{Effect, HeightStateMachine};
 ///
 /// let mut m = HeightStateMachine::new(2); // pipeline window 2
-/// m.enqueue(0);
-/// m.enqueue(1);
+/// m.announce(16); // this lane announced 16 ops
 /// // Nothing applied anywhere yet, but the window lets height 0 fly.
-/// assert_eq!(m.next_effects()[0], Effect::Publish { height: 0, batch: 0 });
-/// m.observe_decided(0, true); // our batch won height 0
-/// assert_eq!(m.next_effects()[0], Effect::Apply { height: 0 });
-/// m.observe_applied(0);
+/// assert_eq!(m.next_effect(), Effect::Publish { height: 0 });
+/// m.observe_decided(0);
+/// assert_eq!(m.next_effect(), Effect::Apply { height: 0 });
+/// m.observe_applied(0, 8); // height 0 committed 8 of our ops
 /// // The cluster floor is still 0 — no *other* applier has applied
 /// // height 0 — yet the window lets height 1 fly: commit pipelining.
-/// assert!(m
-///     .next_effects()
-///     .contains(&Effect::Publish { height: 1, batch: 1 }));
+/// assert_eq!(m.next_effect(), Effect::Publish { height: 1 });
 /// ```
 #[derive(Debug, Clone)]
 pub struct HeightStateMachine {
@@ -90,12 +88,10 @@ pub struct HeightStateMachine {
     floor: u64,
     /// Max heights the frontier may run ahead of the floor (≥ 1).
     window: u64,
-    /// Batches announced by the client, not yet committed. The front
-    /// batch rides every proposal until it wins a height.
-    pending: VecDeque<BatchId>,
-    /// Batch committed at each decided height *by this proposer*, in
-    /// commit order (for response bookkeeping by the driver).
-    committed: Vec<(u64, BatchId)>,
+    /// Ops this lane has announced.
+    announced: u64,
+    /// Ops of this lane the local applied prefix holds.
+    committed: u64,
 }
 
 impl HeightStateMachine {
@@ -105,40 +101,52 @@ impl HeightStateMachine {
     ///
     /// Panics if `window` is zero (window 1 is the sequential baseline).
     pub fn new(window: u64) -> HeightStateMachine {
-        assert!(window > 0, "a zero window can never commit anything");
-        HeightStateMachine {
-            frontier: 0,
-            next_apply: 0,
-            floor: 0,
-            window,
-            pending: VecDeque::new(),
-            committed: Vec::new(),
-        }
+        HeightStateMachine::resumed(window, 0, 0, 0)
     }
 
     /// Resumes a machine from a recovered register scan: `frontier`
-    /// heights are known decided and `applied` of them already applied
-    /// locally (a fresh incarnation replays the registers, then resumes
-    /// here with an empty pending queue).
-    pub fn resumed(window: u64, frontier: u64, applied: u64) -> HeightStateMachine {
+    /// heights are known decided and applied locally, holding
+    /// `committed` of this lane's `announced` ops (a fresh incarnation
+    /// replays the registers, then resumes here; its predecessor's
+    /// uncommitted announces are still pending).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or `committed > announced`.
+    pub fn resumed(
+        window: u64,
+        frontier: u64,
+        committed: u64,
+        announced: u64,
+    ) -> HeightStateMachine {
+        assert!(window > 0, "a zero window can never commit anything");
         assert!(
-            applied <= frontier,
-            "cannot have applied an undecided height"
+            committed <= announced,
+            "cannot have committed an unannounced op"
         );
-        let mut m = HeightStateMachine::new(window);
-        m.frontier = frontier;
-        m.next_apply = applied;
-        m
+        HeightStateMachine {
+            frontier,
+            next_apply: frontier,
+            floor: 0,
+            window,
+            announced,
+            committed,
+        }
     }
 
-    /// The client handed the driver a new batch to commit.
-    pub fn enqueue(&mut self, batch: BatchId) {
-        self.pending.push_back(batch);
+    /// The lane announced `count` more ops.
+    pub fn announce(&mut self, count: u64) {
+        self.announced += count;
     }
 
-    /// Number of batches announced but not yet committed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// Ops this lane has announced.
+    pub fn announced(&self) -> u64 {
+        self.announced
+    }
+
+    /// Ops announced but not yet in the local applied prefix.
+    pub fn pending(&self) -> u64 {
+        self.announced - self.committed
     }
 
     /// The proposal frontier: lowest height not known decided.
@@ -165,81 +173,69 @@ impl HeightStateMachine {
         self.floor = self.floor.max(floor);
     }
 
-    /// The driver observed that `height` is decided; `won` says whether
-    /// this proposer's front batch is the winner. Heights are observed
-    /// in order (the driver polls/proposes only at the frontier).
+    /// The driver observed that `height` is decided. Heights are
+    /// observed in order (the driver polls/proposes only at the
+    /// frontier).
     ///
     /// # Panics
     ///
     /// Panics if `height` is not the frontier — the driver must never
     /// skip a height, that is the prefix-order contract.
-    pub fn observe_decided(&mut self, height: u64, won: bool) {
+    pub fn observe_decided(&mut self, height: u64) {
         assert_eq!(
             height, self.frontier,
             "decisions must be observed in height order"
         );
         self.frontier += 1;
-        if won {
-            let batch = self
-                .pending
-                .pop_front()
-                .expect("won a height with no batch in flight");
-            self.committed.push((height, batch));
-        }
-        // A lost front batch stays queued and rides the next proposal.
     }
 
-    /// The driver finished applying `height` locally.
+    /// The driver finished applying `height` locally; the applied prefix
+    /// now holds `committed` of this lane's ops.
     ///
     /// # Panics
     ///
     /// Panics if `height` is out of order — application is strictly
-    /// sequential, that is the safety argument for pipelining.
-    pub fn observe_applied(&mut self, height: u64) {
+    /// sequential, that is the safety argument for pipelining — or the
+    /// prefix claims ops the lane never announced.
+    pub fn observe_applied(&mut self, height: u64, committed: u64) {
         assert_eq!(height, self.next_apply, "entries apply in height order");
+        assert!(
+            committed <= self.announced,
+            "a height committed an unannounced op"
+        );
         self.next_apply += 1;
+        self.committed = committed;
     }
 
-    /// Batches committed by this proposer since the last call, as
-    /// `(height, batch)` pairs in commit order.
-    pub fn take_committed(&mut self) -> Vec<(u64, BatchId)> {
-        std::mem::take(&mut self.committed)
-    }
-
-    /// What the driver should do now, in order. Pure: no observation, no
-    /// I/O — call again after feeding observations back.
-    pub fn next_effects(&self) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        // Apply anything decided-but-unapplied first: application keeps
-        // the cluster floor moving and never blocks on the window.
+    /// What the driver should do now. Pure: no observation, no I/O —
+    /// call again after feeding the observation back.
+    pub fn next_effect(&self) -> Effect {
+        // Apply anything decided-but-unapplied first: a record is built
+        // from the applied prefix, so a proposer must be caught up.
         if self.next_apply < self.frontier {
-            effects.push(Effect::Apply {
+            return Effect::Apply {
                 height: self.next_apply,
-            });
-            return effects;
+            };
+        }
+        if self.pending() == 0 {
+            // Nothing to propose: watch the frontier for other
+            // proposers' decisions so this applier keeps replicating.
+            return Effect::Poll {
+                height: self.frontier,
+            };
         }
         // Propose only inside the pipeline window. The frontier may run
         // at most `window` heights past the slowest applier: with
         // window 1, every replica must finish h before h+1 starts
         // (sequential heights); larger windows overlap consensus on
         // h+1 with the propagation of h.
-        if !self.pending.is_empty() {
-            if self.frontier < self.floor + self.window {
-                effects.push(Effect::Publish {
-                    height: self.frontier,
-                    batch: *self.pending.front().expect("checked nonempty"),
-                });
-            } else {
-                effects.push(Effect::RefreshFloor);
+        if self.frontier < self.floor + self.window {
+            Effect::Publish {
+                height: self.frontier,
             }
-            return effects;
+        } else {
+            Effect::RefreshFloor
         }
-        // Nothing to propose: watch the frontier for other proposers'
-        // decisions so this applier keeps replicating.
-        effects.push(Effect::Poll {
-            height: self.frontier,
-        });
-        effects
     }
 }
 
@@ -247,39 +243,35 @@ impl HeightStateMachine {
 mod tests {
     use super::*;
 
-    /// Drives the machine with an in-memory "cluster" where decisions
-    /// always go to us and `lag` tracks how far the slowest applier is
-    /// behind; returns the max in-flight depth ever reached.
-    fn drive_to_completion(mut m: HeightStateMachine, batches: u64, applier_lag: u64) -> u64 {
-        for b in 0..batches {
-            m.enqueue(b);
-        }
+    /// Drives the machine with an in-memory "cluster" where every height
+    /// commits up to `per_height` of our ops and the slowest other
+    /// applier trails by `applier_lag` heights; returns the max
+    /// in-flight depth ever reached.
+    fn drive_to_completion(mut m: HeightStateMachine, ops: u64, applier_lag: u64) -> u64 {
+        const PER_HEIGHT: u64 = 2;
+        m.announce(ops);
         let mut max_depth = 0;
-        let mut cluster_applied: u64;
+        let mut committed = 0;
         let mut guard = 0;
-        while m.pending_len() > 0 || m.applied() < m.frontier() {
+        while m.pending() > 0 || m.applied() < m.frontier() {
             guard += 1;
             assert!(guard < 10_000, "machine livelocked");
-            for e in m.next_effects() {
-                match e {
-                    Effect::Publish { height, .. } => {
-                        m.observe_decided(height, true);
-                        max_depth = max_depth.max(m.in_flight());
-                    }
-                    Effect::Apply { height } => {
-                        m.observe_applied(height);
-                        // The slowest *other* applier trails by up to
-                        // `applier_lag` heights.
-                        cluster_applied = (height + 1).saturating_sub(applier_lag);
-                        m.observe_floor(cluster_applied.min(m.applied()));
-                    }
-                    Effect::RefreshFloor => {
-                        // Simulate the laggard eventually catching up.
-                        cluster_applied = m.applied();
-                        m.observe_floor(cluster_applied);
-                    }
-                    Effect::Poll { .. } => {}
+            match m.next_effect() {
+                Effect::Publish { height } => {
+                    m.observe_decided(height);
+                    max_depth = max_depth.max(m.in_flight());
                 }
+                Effect::Apply { height } => {
+                    committed = (committed + PER_HEIGHT).min(ops);
+                    m.observe_applied(height, committed);
+                    let cluster_applied = (height + 1).saturating_sub(applier_lag);
+                    m.observe_floor(cluster_applied.min(m.applied()));
+                }
+                Effect::RefreshFloor => {
+                    // Simulate the laggard eventually catching up.
+                    m.observe_floor(m.applied());
+                }
+                Effect::Poll { .. } => {}
             }
         }
         max_depth
@@ -288,8 +280,7 @@ mod tests {
     #[test]
     fn window_bounds_in_flight_depth() {
         for window in 1..=4u64 {
-            let m = HeightStateMachine::new(window);
-            let depth = drive_to_completion(m, 12, 2);
+            let depth = drive_to_completion(HeightStateMachine::new(window), 24, 2);
             assert!(
                 depth <= window,
                 "window {window} exceeded: depth {depth} in flight"
@@ -301,101 +292,82 @@ mod tests {
     fn sequential_window_never_overlaps() {
         // Window 1: the frontier never gets more than one height past
         // the slowest applier — the sequential-heights baseline.
-        let m = HeightStateMachine::new(1);
-        assert_eq!(drive_to_completion(m, 8, 0), 1);
+        assert_eq!(drive_to_completion(HeightStateMachine::new(1), 16, 0), 1);
     }
 
     #[test]
     fn pipelined_window_actually_pipelines() {
         // With a laggy applier and window 3, the machine must drive the
         // frontier ahead of the floor — that is the whole point.
-        let m = HeightStateMachine::new(3);
-        let depth = drive_to_completion(m, 12, 2);
+        let depth = drive_to_completion(HeightStateMachine::new(3), 24, 2);
         assert!(depth >= 2, "pipelining never engaged (depth {depth})");
     }
 
     #[test]
-    fn applies_are_strictly_sequential() {
+    fn a_proposer_applies_up_to_the_frontier_before_publishing() {
         let mut m = HeightStateMachine::new(4);
-        m.enqueue(0);
-        m.enqueue(1);
-        // Decide two heights without applying.
-        m.observe_decided(0, true);
-        m.observe_decided(1, true);
-        assert_eq!(m.next_effects(), vec![Effect::Apply { height: 0 }]);
-        m.observe_applied(0);
-        assert_eq!(m.next_effects(), vec![Effect::Apply { height: 1 }]);
+        m.announce(3);
+        // Two heights decided by others before we got to propose.
+        m.observe_decided(0);
+        m.observe_decided(1);
+        assert_eq!(m.next_effect(), Effect::Apply { height: 0 });
+        m.observe_applied(0, 0);
+        assert_eq!(m.next_effect(), Effect::Apply { height: 1 });
+        m.observe_applied(1, 1); // height 1 helped one of our ops
+        assert_eq!(m.pending(), 2);
+        assert_eq!(m.next_effect(), Effect::Publish { height: 2 });
     }
 
     #[test]
     #[should_panic(expected = "height order")]
     fn out_of_order_apply_is_rejected() {
         let mut m = HeightStateMachine::new(4);
-        m.enqueue(0);
-        m.observe_decided(0, true);
-        m.observe_applied(1); // skips height 0
+        m.announce(1);
+        m.observe_decided(0);
+        m.observe_applied(1, 1); // skips height 0
     }
 
     #[test]
-    fn lost_batch_rides_the_next_proposal() {
+    fn ops_left_out_of_a_lost_height_ride_the_next_proposal() {
         let mut m = HeightStateMachine::new(8);
-        m.enqueue(7);
-        assert_eq!(
-            m.next_effects(),
-            vec![Effect::Publish {
-                height: 0,
-                batch: 7
-            }]
-        );
-        // Another proposer won height 0: our batch is still pending and
-        // must be re-proposed at the new frontier.
-        m.observe_decided(0, false);
-        m.observe_applied(0);
-        m.observe_floor(1);
-        assert_eq!(
-            m.next_effects(),
-            vec![Effect::Publish {
-                height: 1,
-                batch: 7
-            }]
-        );
-        m.observe_decided(1, true);
-        assert_eq!(m.take_committed(), vec![(1, 7)]);
-        assert_eq!(m.pending_len(), 0);
+        m.announce(5);
+        assert_eq!(m.next_effect(), Effect::Publish { height: 0 });
+        // Another proposer won height 0 and its record held 2 of our 5.
+        m.observe_decided(0);
+        m.observe_applied(0, 2);
+        assert_eq!(m.next_effect(), Effect::Publish { height: 1 });
+        m.observe_decided(1);
+        m.observe_applied(1, 5);
+        assert_eq!(m.pending(), 0);
+        assert_eq!(m.next_effect(), Effect::Poll { height: 2 });
     }
 
     #[test]
     fn window_stall_asks_for_a_floor_refresh() {
         let mut m = HeightStateMachine::new(1);
-        m.enqueue(0);
-        m.enqueue(1);
-        m.observe_decided(0, true);
-        m.observe_applied(0);
+        m.announce(2);
+        m.observe_decided(0);
+        m.observe_applied(0, 1);
         // Locally applied, but the cluster floor is still 0: with
         // window 1 the machine must wait for the floor, not propose.
-        assert_eq!(m.next_effects(), vec![Effect::RefreshFloor]);
+        assert_eq!(m.next_effect(), Effect::RefreshFloor);
         m.observe_floor(1);
-        assert_eq!(
-            m.next_effects(),
-            vec![Effect::Publish {
-                height: 1,
-                batch: 1
-            }]
-        );
+        assert_eq!(m.next_effect(), Effect::Publish { height: 1 });
     }
 
     #[test]
     fn idle_machine_polls_the_frontier() {
         let m = HeightStateMachine::new(2);
-        assert_eq!(m.next_effects(), vec![Effect::Poll { height: 0 }]);
+        assert_eq!(m.next_effect(), Effect::Poll { height: 0 });
     }
 
     #[test]
-    fn resumed_machine_starts_at_the_recovered_prefix() {
-        let m = HeightStateMachine::resumed(2, 5, 5);
+    fn resumed_machine_keeps_its_predecessors_pending_ops() {
+        let m = HeightStateMachine::resumed(8, 5, 3, 4);
         assert_eq!(m.frontier(), 5);
         assert_eq!(m.applied(), 5);
-        assert_eq!(m.next_effects(), vec![Effect::Poll { height: 5 }]);
+        assert_eq!(m.pending(), 1, "the orphaned announce still commits");
+        assert_eq!(m.next_effect(), Effect::Publish { height: 5 });
     }
 
     #[test]
@@ -403,9 +375,9 @@ mod tests {
         let mut m = HeightStateMachine::new(2);
         m.observe_floor(4);
         m.observe_floor(2); // a stale ack-register scan
-        m.enqueue(0);
+        m.announce(1);
         // Frontier 0 < floor 4 + window: still proposable, the stale
         // read did not re-tighten the window.
-        assert!(matches!(m.next_effects()[0], Effect::Publish { .. }));
+        assert!(matches!(m.next_effect(), Effect::Publish { .. }));
     }
 }

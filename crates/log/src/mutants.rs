@@ -11,25 +11,22 @@ use tfr_registers::space::{NativeSpace, RegisterSpace};
 use tfr_registers::ProcId;
 
 use crate::audit::AppliedEntry;
-use crate::log::ReplicatedLog;
+use crate::log::{Lane, ReplicatedLog};
 
 /// A replica that applies one pair of adjacent committed heights in the
 /// wrong order — `h + 1` before `h` — at a seeded opportunity, then
 /// behaves correctly forever after.
 ///
 /// The bug models the classic pipelining mistake: applying a decision
-/// as soon as it lands instead of waiting for the height below it. One
-/// swap is enough to diverge the chained prefix digest at the swap
-/// point, so [`crate::LogAudit`] rejects the lane (out-of-order
-/// heights) and the prefix monitor flags both the height-sequence gap
-/// and the digest mismatch online.
+/// as soon as it lands instead of waiting for the height below it. Each
+/// of the two entries still commits its own ops, so the final state of
+/// a commutative object is right; but one swap is enough to diverge the
+/// chained prefix digest at the swap point, so [`crate::LogAudit`]
+/// rejects the lane (out-of-order heights) and the prefix monitor flags
+/// both the height-sequence skip and the digest mismatch online.
 pub struct ReorderingApplier<T: Sequential, S: RegisterSpace = NativeSpace> {
     log: Arc<ReplicatedLog<T, S>>,
-    pid: ProcId,
-    state: T::State,
-    next: u64,
-    digest: u64,
-    applied: Vec<AppliedEntry>,
+    lane: Lane<T::State>,
     rng: SplitMix64,
     fired: bool,
 }
@@ -39,15 +36,10 @@ impl<T: Sequential, S: RegisterSpace> ReorderingApplier<T, S> {
     /// chosen by `seed`.
     pub fn new(log: Arc<ReplicatedLog<T, S>>, rid: usize, seed: u64) -> ReorderingApplier<T, S> {
         assert!(rid < log.config().replicas, "replica id out of range");
-        let pid = ProcId(log.config().n + rid);
-        let state = log.object().initial();
+        let lane = log.lane(ProcId(log.config().n + rid));
         ReorderingApplier {
             log,
-            pid,
-            state,
-            next: 0,
-            digest: 0,
-            applied: Vec::new(),
+            lane,
             rng: SplitMix64::new(seed),
             fired: false,
         }
@@ -61,45 +53,49 @@ impl<T: Sequential, S: RegisterSpace> ReorderingApplier<T, S> {
     /// The entries this applier actually applied, in its (possibly
     /// wrong) application order.
     pub fn applied_log(&self) -> &[AppliedEntry] {
-        &self.applied
+        &self.lane.applied
     }
 
     /// The (possibly corrupted) local object state.
     pub fn state(&self) -> &T::State {
-        &self.state
+        &self.lane.state
     }
 
-    fn apply_one(&mut self, height: u64) {
-        let (entry, _) = self
-            .log
-            .apply_height(self.pid, height, &mut self.state, self.digest);
-        self.digest = entry.digest;
-        self.applied.push(entry);
+    fn apply_one(&mut self, height: u64, winner: usize) {
+        self.log
+            .apply(&mut self.lane, height, winner, &mut Vec::new());
     }
 
     /// Like [`crate::LogReplica::poll`], but with the seeded swap:
     /// whenever two adjacent heights are both decided and the coin
     /// fires (once), they are applied in the wrong order.
     pub fn poll(&mut self) -> usize {
-        let heights = self.log.config().heights as u64;
-        let mut applied = 0;
-        while self.next < heights && self.log.decision(self.next).is_some() {
-            let pair_ready = self.next + 1 < heights && self.log.decision(self.next + 1).is_some();
-            if !self.fired && pair_ready && self.rng.random_bool(0.5) {
-                // The bug: h+1 applied before h.
-                self.apply_one(self.next + 1);
-                self.apply_one(self.next);
-                self.fired = true;
-                self.next += 2;
-                applied += 2;
-            } else {
-                self.apply_one(self.next);
-                self.next += 1;
-                applied += 1;
+        let start = self.lane.applied.len() as u64;
+        let mut next = start;
+        while let Some(w0) = self.log.decision(next) {
+            match self.log.decision(next + 1) {
+                Some(w1) if !self.fired && self.rng.random_bool(0.5) => {
+                    // The bug: h+1 applied before h. The cursor first
+                    // skips h's record so h+1 commits its own ops.
+                    let before = self.lane.done.clone();
+                    self.log
+                        .visit(next, w0, &mut self.lane.done, |_, _, _| {})
+                        .expect("a decided height has a record");
+                    self.apply_one(next + 1, w1);
+                    let after = std::mem::replace(&mut self.lane.done, before);
+                    self.apply_one(next, w0);
+                    self.lane.done = after;
+                    self.fired = true;
+                    next += 2;
+                }
+                _ => {
+                    self.apply_one(next, w0);
+                    next += 1;
+                }
             }
-            self.log.set_applied(self.pid.0, self.next);
+            self.log.set_applied(self.lane.pid.0, next);
         }
-        applied
+        (next - start) as usize
     }
 }
 
@@ -116,7 +112,7 @@ mod tests {
             n: 1,
             replicas: 1,
             heights: 32,
-            max_batch: 2,
+            max_batch: 1,
             window: 4,
             delta: Duration::from_micros(10),
         };
@@ -142,5 +138,6 @@ mod tests {
         let audit = log.audit(&[w.applied_log(), bad.applied_log()]);
         assert!(!audit.converged(), "the audit must reject the mutant");
         assert!(!audit.in_order, "the swap is an ordering violation");
+        assert_eq!(*bad.state(), 55, "each entry still committed its own op");
     }
 }

@@ -5,8 +5,7 @@
 //! Attach with [`Collector::spawn`] before the workload starts, read
 //! [`Collector::snapshot`] at any time (that is what the `obs_top`
 //! example renders), and call [`Collector::finish`] at quiescence to
-//! drain the remainder, run the finalize-only checks, and receive the
-//! complete [`ObsReport`].
+//! drain the remainder and receive the complete [`ObsReport`].
 
 use crate::monitor::{MonitorBank, Violation};
 use std::collections::{HashMap, VecDeque};
@@ -74,9 +73,9 @@ pub struct LiveSnapshot {
     /// Events lost to full rings (from [`Tracer::dropped`]) — a nonzero
     /// value means every "absence of evidence" caveat is in force.
     pub dropped: u64,
-    /// Operations committed (sum of `BatchCommit` sizes).
+    /// Operations committed (sum of `HeightDecide` sizes).
     pub ops: u64,
-    /// Batches committed.
+    /// Batches committed (decided log heights).
     pub batches: u64,
     /// Chaos faults fired.
     pub faults: u64,
@@ -88,6 +87,9 @@ pub struct LiveSnapshot {
     pub window_ops_per_sec: f64,
     /// Violations flagged so far.
     pub violations: usize,
+    /// Monitors whose clean verdict is unknown because events were
+    /// dropped.
+    pub unknown: Vec<&'static str>,
     /// The most recent violation's description.
     pub last_violation: Option<String>,
     /// Per-stage latency tracks, alphabetical by label.
@@ -114,6 +116,7 @@ impl LiveSnapshot {
             ),
             ("window_ops_per_sec", Json::Num(self.window_ops_per_sec)),
             ("violations", Json::Num(self.violations as f64)),
+            ("unknown", unknown_json(&self.unknown)),
             ("polls", Json::Num(self.polls as f64)),
             (
                 "stages",
@@ -121,6 +124,10 @@ impl LiveSnapshot {
             ),
         ])
     }
+}
+
+fn unknown_json(monitors: &[&'static str]) -> Json {
+    Json::Arr(monitors.iter().map(|&m| Json::str(m)).collect())
 }
 
 /// The collector thread's working state (owned by the thread, returned
@@ -173,7 +180,7 @@ impl CollectorState {
                     self.stage(label).record(e.ts_ns.saturating_sub(start));
                 }
             }
-            EventKind::BatchCommit { size, .. } => {
+            EventKind::HeightDecide { size, .. } => {
                 self.ops += size;
                 self.batches += 1;
                 self.recent.push_back((e.ts_ns, size));
@@ -240,6 +247,7 @@ impl CollectorState {
             delta_ns: self.delta_ns,
             window_ops_per_sec,
             violations: self.bank.violations().len(),
+            unknown: self.bank.unknown(),
             last_violation: self.bank.violations().last().map(|v| v.detail.clone()),
             stages,
             polls: self.polls,
@@ -266,6 +274,9 @@ pub struct ObsReport {
     pub recoveries: u64,
     /// Every violation the monitors flagged.
     pub violations: Vec<Violation>,
+    /// Monitors whose clean verdict is unknown because events were
+    /// dropped (a clean report with a monitor listed here proves less).
+    pub unknown: Vec<&'static str>,
     /// True when at least one violation was flagged by a live poll,
     /// before quiescence — the "caught in the act" bit.
     pub flagged_live: bool,
@@ -291,6 +302,7 @@ impl ObsReport {
             ("faults", Json::Num(self.faults as f64)),
             ("recoveries", Json::Num(self.recoveries as f64)),
             ("clean", Json::Bool(self.clean())),
+            ("unknown", unknown_json(&self.unknown)),
             ("flagged_live", Json::Bool(self.flagged_live)),
             ("polls", Json::Num(self.polls as f64)),
             (
@@ -331,7 +343,7 @@ impl ObsReport {
 /// let tracer = Arc::new(Tracer::new(2));
 /// let collector = Collector::spawn(Arc::clone(&tracer), CollectorConfig::default());
 /// let trace = Trace::attached(Arc::clone(&tracer));
-/// trace.emit(ProcId(0), EventKind::BatchCommit { shard: 0, slot: 0, size: 3 });
+/// trace.emit(ProcId(0), EventKind::HeightDecide { log: 0, height: 0, winner: 0, size: 3 });
 /// let report = collector.finish();
 /// assert_eq!(report.ops, 3);
 /// assert!(report.clean());
@@ -363,6 +375,7 @@ impl Collector {
                     let stopping = stop.load(Ordering::Acquire);
                     buf.clear();
                     tracer.drain_new(&mut cursor, &mut buf);
+                    state.bank.note_dropped(tracer.dropped());
                     for e in &buf {
                         state.observe(e);
                     }
@@ -401,8 +414,8 @@ impl Collector {
         self.flagged_live.load(Ordering::Acquire)
     }
 
-    /// Stops the drain thread, drains whatever remains, runs the
-    /// finalize-only checks, and returns the complete report. Call at
+    /// Stops the drain thread, drains whatever remains, and returns the
+    /// complete report. Call at
     /// quiescence (after the workload's threads have joined).
     pub fn finish(self) -> ObsReport {
         self.stop.store(true, Ordering::Release);
@@ -412,10 +425,10 @@ impl Collector {
         // join; one more drain is cheap and closes the window.
         let mut buf = Vec::new();
         self.tracer.drain_new(&mut cursor, &mut buf);
+        state.bank.note_dropped(self.tracer.dropped());
         for e in &buf {
             state.observe(e);
         }
-        state.bank.finalize();
         let snap = state.snapshot(self.tracer.dropped());
         ObsReport {
             events: snap.events,
@@ -425,6 +438,7 @@ impl Collector {
             faults: snap.faults,
             recoveries: snap.recoveries,
             violations: state.bank.violations().to_vec(),
+            unknown: snap.unknown,
             flagged_live: self.flagged_live.load(Ordering::Acquire),
             polls: snap.polls,
             stages: snap.stages,
@@ -461,9 +475,10 @@ mod tests {
             );
             trace.emit(
                 ProcId(0),
-                EventKind::BatchCommit {
-                    shard: 0,
-                    slot: i,
+                EventKind::HeightDecide {
+                    log: 0,
+                    height: i,
+                    winner: 0,
                     size: 4,
                 },
             );
@@ -487,9 +502,10 @@ mod tests {
         let trace = Trace::attached(Arc::clone(&tracer));
         trace.emit(
             ProcId(0),
-            EventKind::BatchCommit {
-                shard: 0,
-                slot: 0,
+            EventKind::HeightDecide {
+                log: 0,
+                height: 0,
+                winner: 0,
                 size: 7,
             },
         );
@@ -518,13 +534,14 @@ mod tests {
         let tracer = Arc::new(Tracer::new(2));
         let collector = Collector::spawn(Arc::clone(&tracer), fast());
         let trace = Trace::attached(Arc::clone(&tracer));
-        // Two lanes claim the same (shard, slot): a duplicate commit.
+        // Two lanes claim the same height of log 0: a duplicate commit.
         for pid in 0..2 {
             trace.emit(
                 ProcId(pid),
-                EventKind::BatchCommit {
-                    shard: 0,
-                    slot: 0,
+                EventKind::HeightDecide {
+                    log: 0,
+                    height: 0,
+                    winner: pid as u64,
                     size: 1,
                 },
             );
@@ -540,7 +557,7 @@ mod tests {
         let report = collector.finish();
         assert!(report.flagged_live);
         assert!(!report.clean());
-        assert_eq!(report.violations[0].monitor, "batch");
+        assert_eq!(report.violations[0].monitor, "log");
     }
 
     #[test]
@@ -569,9 +586,10 @@ mod tests {
         let trace = Trace::attached(Arc::clone(&tracer));
         trace.emit(
             ProcId(0),
-            EventKind::BatchCommit {
-                shard: 1,
-                slot: 0,
+            EventKind::HeightDecide {
+                log: 1,
+                height: 0,
+                winner: 0,
                 size: 2,
             },
         );

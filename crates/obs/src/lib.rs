@@ -30,6 +30,5 @@ pub mod monitor;
 
 pub use collector::{Collector, CollectorConfig, LiveSnapshot, ObsReport, StageStats};
 pub use monitor::{
-    BatchMonitor, LogPrefixMonitor, MonitorBank, MutexMonitor, QuorumMonitor, RecoveryMonitor,
-    Violation,
+    LogPrefixMonitor, MonitorBank, MutexMonitor, QuorumMonitor, RecoveryMonitor, Violation,
 };

@@ -13,6 +13,13 @@
 //! stream can offer; quiescent-state proofs stay with the audit and the
 //! linearizability checkers.
 //!
+//! A check whose flag rests on an event *not* having happened (a height
+//! skip: "this lane never applied the height in between") cannot be
+//! proven once the ring has dropped events, so the bank is told the
+//! tracer's drop count ([`MonitorBank::note_dropped`]) and such checks
+//! stand down and report their verdict as unknown
+//! ([`MonitorBank::unknown`]) instead of flagging.
+//!
 //! # Arrival-order robustness
 //!
 //! Monitors receive events lane by lane (per-process order preserved, no
@@ -22,9 +29,10 @@
 //! ([`QuorumMonitor`], [`RecoveryMonitor`]), or reasons only about
 //! *completed* intervals with explicit timestamps where cross-lane
 //! comparison is needed ([`MutexMonitor`]), or uses order-free set logic
-//! ([`BatchMonitor`]). None of them can be fooled into a false positive
-//! by lanes arriving in any interleaving.
+//! ([`LogPrefixMonitor`]'s digest and winner checks). None of them can be
+//! fooled into a false positive by lanes arriving in any interleaving.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use tfr_telemetry::json::Json;
 use tfr_telemetry::{Event, EventKind};
@@ -37,8 +45,8 @@ const MUTEX_INTERVALS_KEPT: usize = 4096;
 /// A monitor's verdict that an invariant was violated, with the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Which monitor raised it (`"mutex"`, `"batch"`, `"quorum"`,
-    /// `"recovery"`, `"log"`).
+    /// Which monitor raised it (`"mutex"`, `"quorum"`, `"recovery"`,
+    /// `"log"`).
     pub monitor: &'static str,
     /// Timestamp of the event that completed the evidence.
     pub ts_ns: u64,
@@ -101,61 +109,6 @@ impl MutexMonitor {
                 self.done.push((pid, start, end));
             }
             _ => {}
-        }
-    }
-}
-
-/// Streams `BatchCommit` events and flags **duplicate slots**: two
-/// committed batches claiming the same `(shard, slot)`. On a correct
-/// service exactly one worker (the proposer) reports each decided slot,
-/// so a duplicate means two combiners both believe they committed it.
-///
-/// At [`MonitorBank::finalize`] it additionally flags **gaps**: a shard
-/// whose reported slots do not form the contiguous prefix `0..max+1`.
-/// The gap check must wait for quiescence (mid-run, a slot's proposer may
-/// simply not have drained yet), which is why it is not an online flag.
-#[derive(Debug, Default)]
-pub struct BatchMonitor {
-    /// Per shard: the set of slots reported committed.
-    slots: HashMap<u32, HashMap<u64, u32>>,
-}
-
-impl BatchMonitor {
-    fn observe(&mut self, e: &Event, out: &mut Vec<Violation>) {
-        if let EventKind::BatchCommit { shard, slot, .. } = e.kind {
-            let pid = e.pid.0 as u32;
-            match self.slots.entry(shard).or_default().insert(slot, pid) {
-                Some(prev) if prev != pid => out.push(Violation {
-                    monitor: "batch",
-                    ts_ns: e.ts_ns,
-                    detail: format!(
-                        "shard {shard} slot {slot} committed twice (p{prev} and p{pid})"
-                    ),
-                }),
-                Some(_) => out.push(Violation {
-                    monitor: "batch",
-                    ts_ns: e.ts_ns,
-                    detail: format!("shard {shard} slot {slot} committed twice by p{pid}"),
-                }),
-                None => {}
-            }
-        }
-    }
-
-    fn finalize(&self, out: &mut Vec<Violation>) {
-        for (&shard, slots) in &self.slots {
-            let max = slots.keys().copied().max().unwrap_or(0);
-            let missing: Vec<u64> = (0..=max).filter(|s| !slots.contains_key(s)).collect();
-            if !missing.is_empty() {
-                out.push(Violation {
-                    monitor: "batch",
-                    ts_ns: 0,
-                    detail: format!(
-                        "shard {shard} log has gaps: slots {missing:?} of 0..={max} never \
-                         reported committed"
-                    ),
-                });
-            }
         }
     }
 }
@@ -227,15 +180,21 @@ impl RecoveryMonitor {
 
 /// Streams replicated-log events and flags **applied-prefix
 /// divergence** — the replicated log's core safety property, checked
-/// online in three sound, per-lane/order-free ways:
+/// online in three sound, per-lane/order-free ways. Every key includes
+/// the log id the events carry, so the logs of a sharded service (one
+/// per shard, all applied by the same worker lanes) never mix.
 ///
-/// * **height sequence** — an applier lane must apply heights
-///   `0, 1, 2, …` with no skip or swap ([`EventKind::LogApply`] events
-///   on one lane arrive in per-lane order, which `drain_new`
-///   guarantees). A `CrashRecover` on the lane resets the expectation:
-///   the next incarnation resynchronises from the registers and resumes
-///   at its recovered frontier, so its first apply may land at any
-///   height (and is strict again from there).
+/// * **height sequence** — an applier lane must apply a log's heights
+///   in order, `h, h + 1, h + 2, …`, with no skip or swap
+///   ([`EventKind::LogApply`] events on one lane arrive in per-lane
+///   order, which `drain_new` guarantees). A lane's first apply may land
+///   at any height — a worker that joins or restarts replays the decided
+///   prefix from the registers without events and resumes at its
+///   frontier — and so may its first apply after a `CrashRecover`; from
+///   there the sequence is strict. A *forward* skip is only
+///   evidence while no event was dropped — with drops it may just be a
+///   missing `LogApply` — so under loss it is counted, not flagged, and
+///   the verdict reads unknown.
 /// * **digest agreement** — two lanes applying the same height must
 ///   report the same chained prefix digest. The digest is
 ///   order-sensitive, so this is cross-lane prefix equality in an
@@ -246,82 +205,106 @@ impl RecoveryMonitor {
 ///   means two proposers both believe their batch committed there.
 #[derive(Debug, Default)]
 pub struct LogPrefixMonitor {
-    /// Per lane: the next in-order height (`None` = just recovered,
-    /// accept any height once).
-    expected: HashMap<u32, Option<u64>>,
-    /// Per height: the first reported `(digest, lane)`.
-    digests: HashMap<u64, (u64, u32)>,
-    /// Per height: the winning proposer that announced the decision.
-    winners: HashMap<u64, u32>,
+    /// Per `(log, lane)`: the next in-order height (`None` = the lane
+    /// may have resumed from the registers: accept any height once).
+    expected: HashMap<(u32, u32), Option<u64>>,
+    /// Per `(log, height)`: the first reported `(digest, lane)`.
+    digests: HashMap<(u32, u64), (u64, u32)>,
+    /// Per `(log, height)`: the winning proposer that announced it.
+    winners: HashMap<(u32, u64), u32>,
+    /// The tracer has dropped events: skips are unprovable.
+    lossy: bool,
+    /// Forward skips seen while lossy (not flagged).
+    unproven: u64,
 }
 
 impl LogPrefixMonitor {
     fn observe(&mut self, e: &Event, out: &mut Vec<Violation>) {
+        let pid = e.pid.0 as u32;
         match e.kind {
-            EventKind::LogApply { height, digest } => {
-                let pid = e.pid.0 as u32;
-                let slot = self.expected.entry(pid).or_insert(Some(0));
-                if let Some(exp) = *slot {
-                    if height != exp {
-                        out.push(Violation {
-                            monitor: "log",
-                            ts_ns: e.ts_ns,
-                            detail: format!(
-                                "p{pid} applied height {height} but its next in-order \
-                                 height is {exp}"
-                            ),
-                        });
-                    }
+            EventKind::LogApply {
+                log,
+                height,
+                digest,
+            } => {
+                let slot = self.expected.entry((log, pid)).or_insert(None);
+                match *slot {
+                    Some(exp) if height > exp && self.lossy => self.unproven += 1,
+                    Some(exp) if height != exp => out.push(Violation {
+                        monitor: "log",
+                        ts_ns: e.ts_ns,
+                        detail: format!(
+                            "p{pid} applied log {log} height {height} but its next \
+                             in-order height is {exp}"
+                        ),
+                    }),
+                    _ => {}
                 }
                 *slot = Some(height + 1);
-                match self.digests.entry(height) {
-                    std::collections::hash_map::Entry::Occupied(seen) => {
+                match self.digests.entry((log, height)) {
+                    Entry::Occupied(seen) => {
                         let &(first_digest, first_pid) = seen.get();
                         if first_digest != digest {
                             out.push(Violation {
                                 monitor: "log",
                                 ts_ns: e.ts_ns,
                                 detail: format!(
-                                    "applied-prefix divergence at height {height}: \
-                                     p{pid} digest {digest:#x} ≠ p{first_pid} digest \
-                                     {first_digest:#x}"
+                                    "applied-prefix divergence at log {log} height \
+                                     {height}: p{pid} digest {digest:#x} ≠ p{first_pid} \
+                                     digest {first_digest:#x}"
                                 ),
                             });
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
+                    Entry::Vacant(slot) => {
                         slot.insert((digest, pid));
                     }
                 }
             }
-            EventKind::HeightDecide { height, winner, .. } => {
-                if let Some(&prev) = self.winners.get(&height) {
-                    out.push(Violation {
-                        monitor: "log",
-                        ts_ns: e.ts_ns,
-                        detail: format!(
-                            "height {height} decided twice (winner p{prev}, then p{winner})"
-                        ),
-                    });
-                } else {
-                    self.winners.insert(height, winner as u32);
+            EventKind::HeightDecide {
+                log,
+                height,
+                winner,
+                ..
+            } => match self.winners.entry((log, height)) {
+                Entry::Occupied(prev) => out.push(Violation {
+                    monitor: "log",
+                    ts_ns: e.ts_ns,
+                    detail: format!(
+                        "log {log} height {height} decided twice (winner p{}, then p{winner})",
+                        prev.get()
+                    ),
+                }),
+                Entry::Vacant(slot) => {
+                    slot.insert(winner as u32);
                 }
-            }
+            },
             EventKind::CrashRecover { .. } => {
                 // The lane's next incarnation replays from the registers
-                // and resumes wherever its recovered frontier is.
-                self.expected.insert(e.pid.0 as u32, None);
+                // and resumes wherever its recovered frontier is, on
+                // every log.
+                for (&(_, lane), next) in self.expected.iter_mut() {
+                    if lane == pid {
+                        *next = None;
+                    }
+                }
             }
             _ => {}
         }
     }
+
+    /// Whether the verdict is unknown: events were dropped and the
+    /// monitor saw log traffic, so its silence on skips proves nothing.
+    fn unknown(&self) -> bool {
+        self.lossy && !self.expected.is_empty()
+    }
 }
 
-/// All five monitors behind one `observe` call, accumulating violations.
+/// All four monitors behind one `observe` call, accumulating violations.
 ///
-/// Feed it every drained event (irrelevant kinds are ignored), call
-/// [`MonitorBank::finalize`] once at quiescence for the checks that need
-/// the complete stream, then read [`MonitorBank::violations`].
+/// Feed it every drained event (irrelevant kinds are ignored), tell it
+/// the tracer's drop count after each drain, then read
+/// [`MonitorBank::violations`] and [`MonitorBank::unknown`].
 ///
 /// # Example
 ///
@@ -331,26 +314,24 @@ impl LogPrefixMonitor {
 /// use tfr_telemetry::{Event, EventKind};
 ///
 /// let mut bank = MonitorBank::new();
-/// // Two workers both claim (shard 0, slot 3): a combining bug.
+/// // Two workers both claim height 3 of log 0: a commit bug.
 /// for pid in [0, 1] {
 ///     bank.observe(&Event {
 ///         ts_ns: 10 + pid as u64,
 ///         pid: ProcId(pid),
-///         kind: EventKind::BatchCommit { shard: 0, slot: 3, size: 4 },
+///         kind: EventKind::HeightDecide { log: 0, height: 3, winner: pid as u64, size: 4 },
 ///     });
 /// }
 /// assert!(!bank.clean());
-/// assert_eq!(bank.violations()[0].monitor, "batch");
+/// assert_eq!(bank.violations()[0].monitor, "log");
 /// ```
 #[derive(Debug, Default)]
 pub struct MonitorBank {
     mutex: MutexMonitor,
-    batch: BatchMonitor,
     quorum: QuorumMonitor,
     recovery: RecoveryMonitor,
     log: LogPrefixMonitor,
     violations: Vec<Violation>,
-    finalized: bool,
 }
 
 impl MonitorBank {
@@ -362,18 +343,27 @@ impl MonitorBank {
     /// Feeds one event to every monitor.
     pub fn observe(&mut self, e: &Event) {
         self.mutex.observe(e, &mut self.violations);
-        self.batch.observe(e, &mut self.violations);
         self.quorum.observe(e, &mut self.violations);
         self.recovery.observe(e, &mut self.violations);
         self.log.observe(e, &mut self.violations);
     }
 
-    /// Runs the quiescence-only checks (currently: batch-log gaps).
-    /// Idempotent; call after the last event has been observed.
-    pub fn finalize(&mut self) {
-        if !self.finalized {
-            self.finalized = true;
-            self.batch.finalize(&mut self.violations);
+    /// The tracer has dropped `dropped` events so far. Call it after
+    /// draining and before observing what was drained: any event seen
+    /// then was emitted after every drop the count includes from its
+    /// own lane, so a nonzero count makes the checks that rest on
+    /// absence stand down before they could be fooled.
+    pub fn note_dropped(&mut self, dropped: u64) {
+        self.log.lossy |= dropped > 0;
+    }
+
+    /// Monitors whose clean verdict is unknown because evidence they
+    /// need may have been dropped.
+    pub fn unknown(&self) -> Vec<&'static str> {
+        if self.log.unknown() {
+            vec!["log"]
+        } else {
+            Vec::new()
         }
     }
 
@@ -444,65 +434,6 @@ mod tests {
         bank.observe(&ev(20, 0, EventKind::LockReleased));
         bank.observe(&ev(20, 1, EventKind::LockAcquired { wait_ns: 1 }));
         bank.observe(&ev(30, 1, EventKind::LockReleased));
-        assert!(bank.clean());
-    }
-
-    #[test]
-    fn duplicate_slot_is_flagged_online_gaps_only_at_finalize() {
-        let mut bank = MonitorBank::new();
-        bank.observe(&ev(
-            1,
-            0,
-            EventKind::BatchCommit {
-                shard: 0,
-                slot: 0,
-                size: 2,
-            },
-        ));
-        bank.observe(&ev(
-            2,
-            1,
-            EventKind::BatchCommit {
-                shard: 0,
-                slot: 2,
-                size: 2,
-            },
-        ));
-        assert!(bank.clean(), "a missing slot 1 is not yet a violation");
-        bank.observe(&ev(
-            3,
-            1,
-            EventKind::BatchCommit {
-                shard: 0,
-                slot: 0,
-                size: 1,
-            },
-        ));
-        assert_eq!(bank.violations().len(), 1, "duplicate flags immediately");
-        assert!(bank.violations()[0].detail.contains("slot 0"));
-        bank.finalize();
-        assert_eq!(bank.violations().len(), 2, "the gap flags at finalize");
-        assert!(bank.violations()[1].detail.contains("gaps"));
-    }
-
-    #[test]
-    fn contiguous_per_shard_logs_finalize_clean() {
-        let mut bank = MonitorBank::new();
-        for shard in 0..3u32 {
-            for slot in 0..5u64 {
-                let pid = (slot % 2) as usize;
-                bank.observe(&ev(
-                    slot,
-                    pid,
-                    EventKind::BatchCommit {
-                        shard,
-                        slot,
-                        size: 1,
-                    },
-                ));
-            }
-        }
-        bank.finalize();
         assert!(bank.clean());
     }
 
@@ -599,6 +530,7 @@ mod tests {
             1,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 0,
                 digest: 0xA,
             },
@@ -607,24 +539,32 @@ mod tests {
             2,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 1,
                 digest: 0xB,
             },
         ));
         assert!(bank.clean(), "in-order applies are fine");
         // Lane 1 applies height 1 before height 0: the pipelining bug.
-        bank.observe(&ev(
-            3,
-            1,
-            EventKind::LogApply {
-                height: 1,
-                digest: 0xC,
-            },
-        ));
-        // Both the sequence skip and the digest mismatch at height 1 flag.
-        assert_eq!(bank.violations().len(), 2);
+        for (ts, height, digest) in [(3, 1, 0xC), (4, 0, 0xD)] {
+            bank.observe(&ev(
+                ts,
+                1,
+                EventKind::LogApply {
+                    log: 0,
+                    height,
+                    digest,
+                },
+            ));
+        }
+        // Both digest mismatches flag, and so does the step back to 0.
+        assert_eq!(bank.violations().len(), 3);
         assert!(bank.violations().iter().all(|v| v.monitor == "log"));
-        assert!(bank.violations()[1].detail.contains("divergence"));
+        assert!(bank.violations()[0].detail.contains("divergence"));
+        assert!(bank
+            .violations()
+            .iter()
+            .any(|v| v.detail.contains("next in-order height is 2")));
     }
 
     #[test]
@@ -634,6 +574,7 @@ mod tests {
             1,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 0,
                 digest: 0xA,
             },
@@ -642,6 +583,7 @@ mod tests {
             2,
             1,
             EventKind::LogApply {
+                log: 0,
                 height: 0,
                 digest: 0xA,
             },
@@ -651,6 +593,7 @@ mod tests {
             3,
             2,
             EventKind::LogApply {
+                log: 0,
                 height: 0,
                 digest: 0xF,
             },
@@ -658,7 +601,7 @@ mod tests {
         assert_eq!(bank.violations().len(), 1);
         assert!(bank.violations()[0]
             .detail
-            .contains("divergence at height 0"));
+            .contains("divergence at log 0 height 0"));
     }
 
     #[test]
@@ -668,6 +611,7 @@ mod tests {
             1,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 0,
                 digest: 0xA,
             },
@@ -676,6 +620,7 @@ mod tests {
             2,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 1,
                 digest: 0xB,
             },
@@ -694,6 +639,7 @@ mod tests {
             9,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 5,
                 digest: 0xD,
             },
@@ -702,6 +648,7 @@ mod tests {
             10,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 6,
                 digest: 0xE,
             },
@@ -712,6 +659,7 @@ mod tests {
             11,
             0,
             EventKind::LogApply {
+                log: 0,
                 height: 9,
                 digest: 0xF,
             },
@@ -726,6 +674,7 @@ mod tests {
             1,
             0,
             EventKind::HeightDecide {
+                log: 0,
                 height: 3,
                 winner: 0,
                 size: 2,
@@ -736,6 +685,7 @@ mod tests {
             2,
             1,
             EventKind::HeightDecide {
+                log: 0,
                 height: 3,
                 winner: 1,
                 size: 1,
@@ -746,30 +696,80 @@ mod tests {
     }
 
     #[test]
+    fn logs_are_checked_independently_on_one_lane() {
+        // One worker lane applying two shard logs interleaved: each log
+        // is in order on its own.
+        let mut bank = MonitorBank::new();
+        for (ts, log, height) in [(1, 0, 0), (2, 1, 0), (3, 1, 1), (4, 0, 1)] {
+            bank.observe(&ev(
+                ts,
+                0,
+                EventKind::LogApply {
+                    log,
+                    height,
+                    digest: 10 * log as u64 + height,
+                },
+            ));
+        }
+        assert!(bank.clean(), "{:?}", bank.violations());
+        // The same height on different logs is two heights.
+        for log in [0, 1] {
+            bank.observe(&ev(
+                5,
+                1,
+                EventKind::HeightDecide {
+                    log,
+                    height: 0,
+                    winner: 1,
+                    size: 1,
+                },
+            ));
+        }
+        assert!(bank.clean(), "{:?}", bank.violations());
+    }
+
+    #[test]
+    fn a_skip_under_loss_is_unknown_not_a_violation() {
+        let apply = |height| EventKind::LogApply {
+            log: 0,
+            height,
+            digest: height,
+        };
+        let mut lossless = MonitorBank::new();
+        let mut lossy = MonitorBank::new();
+        lossy.note_dropped(3);
+        for bank in [&mut lossless, &mut lossy] {
+            bank.observe(&ev(1, 0, apply(0)));
+            bank.observe(&ev(2, 0, apply(2))); // height 1 not seen
+        }
+        assert_eq!(lossless.violations().len(), 1, "no drops: a real skip");
+        assert!(lossless.unknown().is_empty());
+        assert!(lossy.clean(), "the missing apply may have been dropped");
+        assert_eq!(lossy.unknown(), vec!["log"]);
+        // A swap backwards is provable even under loss.
+        lossy.observe(&ev(3, 0, apply(1)));
+        assert_eq!(lossy.violations().len(), 1);
+    }
+
+    #[test]
     fn violations_serialize() {
         let mut bank = MonitorBank::new();
-        bank.observe(&ev(
-            1,
-            0,
-            EventKind::BatchCommit {
-                shard: 1,
-                slot: 0,
-                size: 1,
-            },
-        ));
-        bank.observe(&ev(
-            2,
-            1,
-            EventKind::BatchCommit {
-                shard: 1,
-                slot: 0,
-                size: 1,
-            },
-        ));
+        for pid in 0..2 {
+            bank.observe(&ev(
+                1,
+                pid,
+                EventKind::HeightDecide {
+                    log: 1,
+                    height: 0,
+                    winner: pid as u64,
+                    size: 1,
+                },
+            ));
+        }
         let json = bank.violations_json().to_string();
         let parsed = Json::parse(&json).expect("violations serialize to valid JSON");
         let arr = parsed.as_arr().unwrap();
         assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].get("monitor").unwrap().as_str().unwrap(), "batch");
+        assert_eq!(arr[0].get("monitor").unwrap().as_str().unwrap(), "log");
     }
 }

@@ -112,21 +112,16 @@ pub mod points {
     /// Recoverable lock: inside the recovery section itself (the section
     /// is idempotent, so a crash here simply re-runs it).
     pub const RECOVERY_SECTION: &str = "recoverable.recovery-section";
-    /// Universal construction: at the start of an announce burst, before
-    /// any payload or counter register is written. A crash-recovery here
-    /// leaves the whole burst unannounced, so a new incarnation may
-    /// safely re-announce it.
-    pub const UNIVERSAL_ANNOUNCE: &str = "universal.announce";
-    /// Universal construction: in the combiner, before a batch record is
-    /// published and proposed for the current slot. A crash-recovery here
-    /// proves the recovering process never proposed at any undecided
-    /// slot, so a new incarnation may safely rejoin and propose.
-    pub const UNIVERSAL_COMBINE: &str = "universal.combine";
-    /// Replicated log: in a proposer, before its batch is published and
-    /// proposed at the current height. A crash-recovery here leaves the
-    /// height either undecided or won by someone else; the published
-    /// arena is only ever read after a decision names it, so a new
-    /// incarnation may safely republish and re-propose.
+    /// Replicated log: at the start of an announce, before any payload or
+    /// counter register is written. A crash-recovery here leaves the
+    /// whole burst unannounced, so a new incarnation may safely
+    /// re-announce it.
+    pub const LOG_ANNOUNCE: &str = "log.announce";
+    /// Replicated log: in a proposer, before its batch record is written
+    /// and proposed at the current height. A crash-recovery here leaves
+    /// the height either undecided or won by someone else; a record is
+    /// only ever read after a decision names it, so a new incarnation
+    /// may safely rewrite it and re-propose.
     pub const LOG_PROPOSE: &str = "log.propose-batch";
     /// Replicated log: in an applier, before the committed entry at the
     /// next height is applied to the local state machine. Application is
@@ -155,8 +150,7 @@ pub mod points {
         RECOVERABLE_CS,
         RECOVERABLE_RELEASE,
         RECOVERY_SECTION,
-        UNIVERSAL_ANNOUNCE,
-        UNIVERSAL_COMBINE,
+        LOG_ANNOUNCE,
         LOG_PROPOSE,
         LOG_APPLY,
     ];
@@ -785,10 +779,14 @@ mod tests {
                 self.faults.lock().unwrap().push((point, stalled, crashed));
             }
         }
-        // Hold a session throughout: sessions serialize chaos tests, so no
-        // other test's registered threads can reach our observer.
+        // Hold a session throughout: sessions serialize chaos tests. A
+        // test that needs no session (`points_are_inert_without_a_session`)
+        // may still register a thread concurrently and reach the global
+        // observer, so this test runs as a pid no other test uses and
+        // checks that pid's hits.
+        const PID: ProcId = ProcId(41);
         let _session = ChaosSession::install(&[Fault {
-            pid: ProcId(0),
+            pid: PID,
             point: points::DELAY,
             nth: 2,
             action: FaultAction::Stall(Duration::from_millis(1)),
@@ -797,16 +795,20 @@ mod tests {
             hits: Mutex::new(Vec::new()),
             faults: Mutex::new(Vec::new()),
         });
+        let own_hits = || -> Vec<(usize, &'static str)> {
+            let hits = rec.hits.lock().unwrap();
+            hits.iter().copied().filter(|&(p, _)| p == PID.0).collect()
+        };
         let guard = install_point_observer(rec.clone());
         // Unregistered threads never reach the observer.
         point(points::DELAY);
-        run_as(ProcId(0), || {
+        run_as(PID, || {
             point(points::DELAY);
             point(points::DELAY);
         });
         assert_eq!(
-            *rec.hits.lock().unwrap(),
-            vec![(0, points::DELAY), (0, points::DELAY)]
+            own_hits(),
+            vec![(PID.0, points::DELAY), (PID.0, points::DELAY)]
         );
         let faults = rec.faults.lock().unwrap().clone();
         assert_eq!(faults.len(), 1);
@@ -814,8 +816,8 @@ mod tests {
         assert_eq!(faults[0].1, Duration::from_millis(1));
         assert!(!faults[0].2);
         drop(guard);
-        run_as(ProcId(0), || point(points::DELAY));
-        assert_eq!(rec.hits.lock().unwrap().len(), 2, "disarmed after drop");
+        run_as(PID, || point(points::DELAY));
+        assert_eq!(own_hits().len(), 2, "disarmed after drop");
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! A sharded wait-free object service over the universal construction —
-//! the workspace's "computing at scale" layer, verified under load.
+//! A sharded wait-free object service over the replicated log — the
+//! workspace's "computing at scale" layer, verified under load.
 //!
 //! The paper's universality result (§1.4) makes any sequential object
-//! wait-free and timing-resilient; this crate turns that single object
-//! into a *service*: thousands of simulated clients addressing keyed
-//! objects, routed across per-core shards, with **flat-combining
-//! batches** so one timing-resilient consensus decision commits a whole
-//! burst of operations instead of one.
+//! wait-free and timing-resilient; this crate turns that into a
+//! *service*: thousands of simulated clients addressing keyed objects,
+//! routed across shards, each shard a `tfr-log` [`ReplicatedLog`] whose
+//! heights commit a whole batch of announced operations per
+//! timing-resilient consensus decision instead of one.
+//!
+//! [`ReplicatedLog`]: tfr_log::ReplicatedLog
 //!
 //! # Pieces
 //!
@@ -18,10 +20,11 @@
 //! * [`ObjectService`] / [`ServiceWorker`] — the service proper: one
 //!   register space tiled into disjoint shard regions
 //!   ([`SubSpace::tile`](tfr_registers::space::SubSpace::tile)), each
-//!   running a [`Universal`](tfr_core::universal::Universal) log;
-//!   workers announce bursts and drive batched commits, emitting
-//!   `ServiceEnqueue` / `BatchCommit` telemetry. Runs unchanged over
-//!   native shared memory or the `tfr-net` quorum space.
+//!   running one log whose lanes are the workers; workers announce
+//!   bursts and pump the shards round-robin until their ops commit,
+//!   emitting `ServiceEnqueue` telemetry next to the logs'
+//!   `HeightDecide` / `LogApply`. Runs unchanged over native shared
+//!   memory or the `tfr-net` quorum space.
 //! * [`load`] — the load harness: simulated clients (each with one
 //!   operation in flight, so program order is real), throughput and
 //!   batch-size accounting, and **under-load linearizability sampling**
@@ -30,7 +33,7 @@
 //!   (commits a batch against announce order across a same-key
 //!   dependency) and [`CombinerKind::LostOp`] (drops one announced
 //!   operation but answers as if it applied). The load harness runs them
-//!   through the same sampler that certifies the real batcher: the tests
+//!   through the same sampler that certifies the real path: the tests
 //!   prove the sampler accepts the real implementation and rejects both
 //!   mutants.
 //!
@@ -44,7 +47,7 @@
 //! let svc = ObjectService::new(|| Counter, &ServiceConfig::new(4, 2));
 //! let mut worker = svc.worker(ProcId(0));
 //! worker.enqueue_burst(&[(7, 5), (8, 1), (7, 3)]);
-//! let done = worker.drive(); // one batch, one consensus decision
+//! let done = worker.drive(); // one height, one consensus decision
 //! assert_eq!(done[2].resp, 8, "key 7 accumulated 5 + 3");
 //! ```
 

@@ -534,7 +534,7 @@ fn run_mutant(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
                     let my_clients = cfg.worker_clients(w);
                     let mut sizes = Vec::new();
                     let mut lost = 0u64;
-                    let mut slot = 0u64;
+                    let mut height = 0u64;
                     for j in 0..cfg.ops_per_client {
                         let mut c = my_clients.start;
                         while c < my_clients.end {
@@ -585,15 +585,19 @@ fn run_mutant(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
                                 for (p, &i) in idxs.iter().enumerate() {
                                     responses[i] = sub_resp[p];
                                 }
+                                // Each worker numbers its own "heights",
+                                // so workers claim the same ones: the
+                                // log monitor's double-decide check.
                                 trace.emit(
                                     pid,
-                                    EventKind::BatchCommit {
-                                        shard: shard as u32,
-                                        slot,
+                                    EventKind::HeightDecide {
+                                        log: shard as u32,
+                                        height,
+                                        winner: pid.0 as u64,
                                         size: sub.len() as u64,
                                     },
                                 );
-                                slot += 1;
+                                height += 1;
                                 sizes.push(sub.len());
                             }
                             if let Some(r) = rec {

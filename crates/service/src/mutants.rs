@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Which batching implementation the load harness drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombinerKind {
-    /// The real path: announce bursts into the shard's universal log and
+    /// The real path: announce bursts into the shard's replicated log and
     /// let one consensus decision commit the whole batch.
     FlatCombining,
     /// The baseline: batching off (`max_batch = 1`, burst of 1) — one

@@ -1,6 +1,6 @@
 //! The sharded object service proper: one register space, tiled into
-//! per-shard regions, each region running its own universal construction
-//! over a key-multiplexed object.
+//! per-shard regions, each region running its own replicated log over a
+//! key-multiplexed object.
 //!
 //! # Shape
 //!
@@ -8,29 +8,37 @@
 //!   disjoint [`SubSpace`] regions with [`SubSpace::tile`] — shard `t`
 //!   owns exactly the parent registers `t, t+shards, t+2·shards, …`, so
 //!   shards can never alias each other's registers.
-//! * Each region hosts a [`Universal`]`<`[`Keyed`]`<T>>` shared by all
-//!   workers: a worker is one process id valid on *every* shard, because
-//!   its keys hash across all of them.
-//! * A [`ServiceWorker`] holds one [`Session`] per shard and drives the
-//!   flat-combining protocol: route and announce a burst
-//!   ([`ServiceWorker::enqueue_burst`]), then replay and combine
-//!   ([`ServiceWorker::drive`]) — one consensus decision per *batch*,
-//!   not per operation.
+//! * Each region hosts a [`ReplicatedLog`]`<`[`Keyed`]`<T>>` whose lanes
+//!   are the workers (no passive replicas): a worker is one process id
+//!   valid on *every* shard, because its keys hash across all of them.
+//!   The log's pipeline window is its whole height capacity, so the
+//!   applied floor never gates a proposal and a crash-stopped worker
+//!   cannot stall its peers.
+//! * A [`ServiceWorker`] holds one [`LogWorker`] per shard: route and
+//!   announce a burst ([`ServiceWorker::enqueue_burst`]), then pump the
+//!   shards round-robin until every own op has committed
+//!   ([`ServiceWorker::drive`]) — one consensus decision per *height*,
+//!   whose record carries every announced op of every worker the
+//!   proposer found (helping), not one per operation.
 //!
-//! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`], and
-//! every batch whose proposal *this* worker won emits one
-//! [`EventKind::BatchCommit`] (the proposer emits, so each batch is
-//! counted exactly once across the fleet).
+//! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`]; each
+//! shard log emits its `HeightDecide` (by the winning worker, so each
+//! height is counted once) and `LogApply` events stamped with the shard
+//! as log id, and one `"consensus"` span per proposal.
 
 use crate::keyed::{encode_op, Keyed};
 use crate::router::Router;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
-use tfr_core::universal::{LogAudit, Sequential, Session, Universal};
+use tfr_core::universal::Sequential;
+use tfr_log::{LogAudit, LogConfig, LogWorker, ReplicatedLog};
 use tfr_registers::space::{NativeSpace, RegisterSpace, SubSpace};
 use tfr_registers::ProcId;
 use tfr_telemetry::{EventKind, Span, Trace};
+
+/// A shard: one replicated log over the shard's register tile.
+type Shard<T, S> = ReplicatedLog<Keyed<T>, SubSpace<Arc<S>>>;
 
 /// Construction parameters for an [`ObjectService`].
 #[derive(Debug, Clone)]
@@ -40,20 +48,20 @@ pub struct ServiceConfig {
     /// Number of worker processes (each holds one pid valid on every
     /// shard). At most 255.
     pub workers: usize,
-    /// Log-slot capacity of each shard (upper bound on batches a shard
-    /// can commit; every committed batch holds at least one op, so ops
-    /// per shard is always a safe bound).
+    /// Height capacity of each shard's log (upper bound on batches a
+    /// shard can commit; every committed batch holds at least one op, so
+    /// ops per shard is always a safe bound).
     pub capacity_per_shard: usize,
     /// The consensus `delay(Δ)` estimate.
     pub delta: Duration,
-    /// Largest batch one combining decision may commit.
+    /// Largest batch one height may commit.
     pub max_batch: usize,
     /// Seed of the key → shard router.
     pub router_seed: u64,
 }
 
 impl ServiceConfig {
-    /// A config with workspace-default tuning (1024 slots per shard,
+    /// A config with workspace-default tuning (1024 heights per shard,
     /// Δ = 50 µs, batches of up to 64).
     pub fn new(shards: usize, workers: usize) -> ServiceConfig {
         ServiceConfig {
@@ -85,7 +93,7 @@ pub struct OpResponse {
 /// backend: native shared memory or the quorum-replicated network space,
 /// unchanged.
 pub struct ObjectService<T: Sequential, S: RegisterSpace = NativeSpace> {
-    shards: Vec<Universal<Keyed<T>, SubSpace<Arc<S>>>>,
+    shards: Vec<Arc<Shard<T, S>>>,
     router: Router,
     workers: usize,
     trace: Trace,
@@ -107,17 +115,20 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
     /// Panics if `cfg.shards` is 0 or `cfg.workers` is not in 1..=255.
     pub fn on(space: Arc<S>, make: impl Fn() -> T, cfg: &ServiceConfig) -> ObjectService<T, S> {
         assert!(cfg.shards > 0, "a service needs at least one shard");
+        let log_cfg = LogConfig {
+            n: cfg.workers,
+            replicas: 0,
+            heights: cfg.capacity_per_shard,
+            max_batch: cfg.max_batch,
+            window: cfg.capacity_per_shard as u64,
+            delta: cfg.delta,
+        };
         let shards = SubSpace::tile(space, cfg.shards as u64)
             .into_iter()
-            .map(|tile| {
-                Universal::on(
-                    Arc::new(tile),
-                    Keyed::new(make()),
-                    cfg.workers,
-                    cfg.capacity_per_shard,
-                    cfg.delta,
-                )
-                .with_max_batch(cfg.max_batch)
+            .enumerate()
+            .map(|(t, tile)| {
+                let log = ReplicatedLog::on(Keyed::new(make()), log_cfg, Arc::new(tile));
+                Arc::new(log.with_id(t as u32))
             })
             .collect();
         ObjectService {
@@ -128,16 +139,19 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
         }
     }
 
-    /// Attaches a telemetry trace; enqueues and batch commits are
-    /// emitted through it, and every shard's universal construction
-    /// stamps a `"consensus"` span around each combining proposal — the
-    /// middle of the causal chain client.enqueue → batch.drive →
-    /// consensus → quorum phases.
+    /// Attaches a telemetry trace: enqueues, height decisions and
+    /// applies are emitted through it, and every proposal is wrapped in
+    /// a `"consensus"` span — the middle of the causal chain
+    /// client.enqueue → batch.drive → consensus → quorum phases.
     pub fn with_trace(mut self, trace: Trace) -> ObjectService<T, S> {
         self.shards = self
             .shards
             .into_iter()
-            .map(|u| u.with_trace(trace.clone()))
+            .map(|log| {
+                // Workers borrow the service, so none holds a shard here.
+                let log = Arc::into_inner(log).expect("no worker outlives the service");
+                Arc::new(log.with_trace(trace.clone()))
+            })
             .collect();
         self.trace = trace;
         self
@@ -163,36 +177,42 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
         self.router.route(key)
     }
 
-    /// A driving handle for worker `pid`, holding one session per shard.
+    /// A driving handle for worker `pid`, holding one log worker per
+    /// shard. Each resynchronises from the registers (the decided prefix
+    /// and the lane's announce counter), so a handle for a pid whose
+    /// previous incarnation crashed picks up where the registers say —
+    /// its predecessor's announced ops commit with its next proposals.
     ///
     /// # Panics
     ///
     /// Panics if `pid` is not a worker id.
     pub fn worker(&self, pid: ProcId) -> ServiceWorker<'_, T, S> {
         assert!(pid.0 < self.workers, "unknown worker pid");
-        let sessions = self.shards.iter().map(|u| u.session(pid)).collect();
+        let shards = self.shards.len();
         ServiceWorker {
             svc: self,
             pid,
-            sessions,
-            pending: (0..self.shards.len()).map(|_| VecDeque::new()).collect(),
+            logs: self
+                .shards
+                .iter()
+                .map(|log| LogWorker::resumed(Arc::clone(log), pid))
+                .collect(),
+            pending: (0..shards).map(|_| VecDeque::new()).collect(),
             issued: 0,
-            batch_sizes: Vec::new(),
-            scratch_ops: (0..self.shards.len()).map(|_| Vec::new()).collect(),
-            scratch_meta: (0..self.shards.len()).map(|_| Vec::new()).collect(),
+            scratch: vec![Vec::new(); shards],
         }
     }
 
     /// The current committed state of shard `shard`, keyed by object key
     /// (a fresh replay; intended for post-run verification).
-    pub fn snapshot(&self, shard: usize) -> std::collections::BTreeMap<u64, T::State> {
+    pub fn snapshot(&self, shard: usize) -> BTreeMap<u64, T::State> {
         self.shards[shard].snapshot()
     }
 
-    /// Spec-form audits of every shard's committed log, read straight
-    /// from the registers.
+    /// Audits of every shard's log, read straight from the registers:
+    /// [`LogAudit::complete`] is the zero-lost-ops verdict.
     pub fn audit(&self) -> Vec<LogAudit> {
-        self.shards.iter().map(Universal::audit).collect()
+        self.shards.iter().map(|log| log.audit(&[])).collect()
     }
 
     /// Ground truth for lost-op accounting: what worker `p` announced on
@@ -207,17 +227,14 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
 pub struct ServiceWorker<'s, T: Sequential, S: RegisterSpace> {
     svc: &'s ObjectService<T, S>,
     pid: ProcId,
-    sessions: Vec<Session<'s, Keyed<T>, SubSpace<Arc<S>>>>,
-    /// Announced-but-unresolved ops per shard: `(seq, pos, key)` in
+    logs: Vec<LogWorker<Keyed<T>, SubSpace<Arc<S>>>>,
+    /// Announced-but-unanswered ops per shard: `(seq, pos, key)` in
     /// announce order.
     pending: Vec<VecDeque<(u64, u64, u64)>>,
     /// Ops enqueued by this worker so far (assigns [`OpResponse::pos`]).
     issued: u64,
-    /// Sizes of batches whose proposal this worker won, since the last
-    /// [`ServiceWorker::take_batch_sizes`].
-    batch_sizes: Vec<usize>,
-    scratch_ops: Vec<Vec<u64>>,
-    scratch_meta: Vec<Vec<(u64, u64)>>,
+    /// Per shard: the burst's encoded ops.
+    scratch: Vec<Vec<u64>>,
 }
 
 impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
@@ -227,36 +244,34 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
     }
 
     /// Routes and announces a burst of `(key, inner_op)` pairs — one
-    /// announce publication per shard touched, the client half of flat
-    /// combining. Returns the position of the first op (positions are
-    /// consecutive within the burst, in the given order).
+    /// announce publication per shard touched. Returns the position of
+    /// the first op (positions are consecutive within the burst, in the
+    /// given order).
     ///
     /// The ops are *not* yet linearized; call [`ServiceWorker::drive`].
     pub fn enqueue_burst(&mut self, ops: &[(u64, u64)]) -> u64 {
-        let _span = Span::enter(&self.svc.trace, "client.enqueue");
+        let trace = &self.svc.trace;
+        let _span = Span::enter(trace, "client.enqueue");
         let first_pos = self.issued;
         for (i, &(key, inner)) in ops.iter().enumerate() {
             let shard = self.svc.router.route(key);
-            self.svc.trace.emit(
+            trace.emit(
                 self.pid,
                 EventKind::ServiceEnqueue {
                     shard: shard as u32,
                     key,
                 },
             );
-            self.scratch_ops[shard].push(encode_op(key, inner));
-            self.scratch_meta[shard].push((first_pos + i as u64, key));
+            let encoded = &mut self.scratch[shard];
+            let seq = self.logs[shard].announced() + encoded.len() as u64;
+            self.pending[shard].push_back((seq, first_pos + i as u64, key));
+            encoded.push(encode_op(key, inner));
         }
-        for shard in 0..self.sessions.len() {
-            if self.scratch_ops[shard].is_empty() {
-                continue;
+        for (log, encoded) in self.logs.iter_mut().zip(&mut self.scratch) {
+            if !encoded.is_empty() {
+                log.enqueue(encoded);
+                encoded.clear();
             }
-            let first_seq = self.sessions[shard].announce_burst(&self.scratch_ops[shard]);
-            for (i, &(pos, key)) in self.scratch_meta[shard].iter().enumerate() {
-                self.pending[shard].push_back((first_seq + i as u64, pos, key));
-            }
-            self.scratch_ops[shard].clear();
-            self.scratch_meta[shard].clear();
         }
         self.issued += ops.len() as u64;
         first_pos
@@ -267,30 +282,31 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         self.enqueue_burst(&[(key, inner)])
     }
 
-    /// Drives every shard this worker has pending ops on until they are
-    /// all committed (combining with other workers' announced bursts
-    /// along the way) and returns the completed operations, in enqueue
-    /// order.
+    /// Pumps every shard with own ops outstanding, round-robin and one
+    /// effect at a time — so no shard blocks the others — until all of
+    /// them have committed (along with whatever other workers announced
+    /// that the records picked up), and returns the completed
+    /// operations, in enqueue order.
     pub fn drive(&mut self) -> Vec<OpResponse> {
+        let _span = Span::enter(&self.svc.trace, "batch.drive");
         let mut out = Vec::new();
-        for shard in 0..self.sessions.len() {
-            let session = &mut self.sessions[shard];
-            if session.pending() == 0 && self.pending[shard].is_empty() {
-                continue;
-            }
-            let _span = Span::enter(&self.svc.trace, "batch.drive");
-            session.drive_pending();
-            for (seq, resp) in session.take_responses() {
-                // A response whose seq predates our oldest pending entry
-                // is an orphan announced by a previous incarnation of
-                // this pid (the session resynchronises the announce
-                // counter from the registers): it is committed on the
-                // dead incarnation's behalf, but nobody here awaits it.
-                match self.pending[shard].front() {
-                    Some(&(front_seq, _, _)) if front_seq == seq => {
-                        let (_, pos, key) = self.pending[shard]
-                            .pop_front()
-                            .expect("front was just observed");
+        loop {
+            let mut outstanding = false;
+            let mut progressed = false;
+            for (shard, log) in self.logs.iter_mut().enumerate() {
+                if log.pending() == 0 {
+                    continue;
+                }
+                outstanding = true;
+                progressed |= log.pump();
+                for (seq, resp) in log.take_responses() {
+                    // A seq older than our oldest pending entry is an
+                    // orphan a previous incarnation of this pid
+                    // announced: committed on its behalf, awaited by
+                    // nobody here.
+                    let pending = &mut self.pending[shard];
+                    if pending.front().is_some_and(|&(front, _, _)| front == seq) {
+                        let (_, pos, key) = pending.pop_front().expect("front was just seen");
                         out.push(OpResponse {
                             pos,
                             key,
@@ -298,40 +314,35 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
                             resp,
                         });
                     }
-                    _ => {}
                 }
             }
-            for commit in session.take_commits() {
-                if commit.proposer == self.pid {
-                    self.svc.trace.emit(
-                        self.pid,
-                        EventKind::BatchCommit {
-                            shard: shard as u32,
-                            slot: commit.slot as u64,
-                            size: commit.size as u64,
-                        },
-                    );
-                    self.batch_sizes.push(commit.size);
-                }
+            if !outstanding {
+                break;
+            }
+            if !progressed {
+                std::thread::yield_now();
             }
         }
         out.sort_by_key(|r| r.pos);
         out
     }
 
-    /// Replays every shard's committed log without proposing anything.
+    /// Applies every shard's decided heights without proposing anything.
     pub fn catch_up(&mut self) {
-        for session in &mut self.sessions {
-            session.catch_up();
+        for log in &mut self.logs {
+            log.catch_up();
         }
     }
 
-    /// Takes the sizes of batches whose proposal this worker won since
-    /// the last take — each committed batch is reported by exactly one
-    /// worker, so concatenating all workers' takes counts every batch
-    /// once.
+    /// Takes the sizes of the batches whose proposal this worker won
+    /// since the last take — each decided height is reported by exactly
+    /// one worker, so concatenating all workers' takes counts every
+    /// batch once.
     pub fn take_batch_sizes(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.batch_sizes)
+        self.logs
+            .iter_mut()
+            .flat_map(LogWorker::take_batch_sizes)
+            .collect()
     }
 }
 
@@ -384,8 +395,6 @@ mod tests {
         }
         a.drive();
         b.drive();
-        a.catch_up();
-        b.catch_up();
         // Every key's total landed on exactly the routed shard.
         for key in 0..30u64 {
             let shard = svc.shard_of(key);
@@ -423,7 +432,7 @@ mod tests {
         assert_eq!(state.get(&1), Some(&32));
         let audit = svc.audit().remove(0);
         assert!(audit.complete());
-        assert_eq!(audit.total_committed(), 64);
+        assert_eq!(audit.total_ops, 64);
     }
 
     #[test]
@@ -443,11 +452,36 @@ mod tests {
         assert_eq!(out.len(), 1, "only the new incarnation's op returns");
         assert_eq!(out[0].key, 0);
         assert_eq!(out[0].resp, 8, "orphaned 5 applied before our 3");
-        second.catch_up();
         for audit in svc.audit() {
             assert!(audit.complete(), "orphans commit, nothing is lost");
         }
         assert_eq!(svc.snapshot(svc.shard_of(1)).get(&1), Some(&7));
+    }
+
+    #[test]
+    fn a_silent_workers_ops_commit_through_helping() {
+        // Worker 0 announces and never drives again (a crash-stop, as far
+        // as the log can tell); its lane never acks a height. Worker 1's
+        // drives commit worker 0's ops anyway, and keep committing far
+        // past the dead lane's ack: nothing waits on it.
+        let cfg = ServiceConfig {
+            capacity_per_shard: 32,
+            ..small_cfg(1, 2)
+        };
+        let svc = ObjectService::new(|| Counter, &cfg);
+        let mut silent = svc.worker(ProcId(0));
+        silent.enqueue_burst(&[(7, 40), (7, 2)]);
+        let mut helper = svc.worker(ProcId(1));
+        for round in 0..20u64 {
+            helper.enqueue(9, 1);
+            assert_eq!(helper.drive().len(), 1, "round {round}");
+        }
+        assert!(svc.audit()[0].complete(), "the silent lane's ops committed");
+        let state = svc.snapshot(0);
+        assert_eq!(state.get(&7), Some(&42));
+        assert_eq!(state.get(&9), Some(&20));
+        assert_eq!(svc.shards[0].applied_floor(), 0, "lane 0 never acked");
+        assert!(svc.audit()[0].heights_decided >= 20);
     }
 
     #[test]
@@ -459,16 +493,13 @@ mod tests {
         a.drive();
         b.enqueue_burst(&[(3, 1)]);
         b.drive();
-        let mut sizes: Vec<usize> = a
+        let sizes: Vec<usize> = a
             .take_batch_sizes()
             .into_iter()
             .chain(b.take_batch_sizes())
             .collect();
-        sizes.sort_unstable();
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, 4, "every op in exactly one reported batch");
-        let audits = svc.audit();
-        let slots: usize = audits.iter().map(|a| a.slots_decided).sum();
-        assert_eq!(sizes.len(), slots, "one report per decided slot");
+        assert_eq!(sizes.iter().sum::<usize>(), 4, "every op in one batch");
+        let heights: u64 = svc.audit().iter().map(|a| a.heights_decided).sum();
+        assert_eq!(sizes.len() as u64, heights, "one report per height");
     }
 }

@@ -353,7 +353,6 @@ impl ChromeTraceBuilder {
                 | EventKind::PointHit { .. }
                 | EventKind::MsgDropped { .. }
                 | EventKind::ServiceEnqueue { .. }
-                | EventKind::BatchCommit { .. }
                 | EventKind::HeightDecide { .. }
                 | EventKind::LogApply { .. }
                 | EventKind::Mark { .. } => {

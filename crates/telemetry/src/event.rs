@@ -187,22 +187,14 @@ pub enum EventKind {
         /// The object key the client addressed.
         key: u64,
     },
-    /// One consensus decision committed a whole batch of announced
-    /// operations on a shard (pid = the worker whose proposal won the
-    /// decision, so each batch is reported exactly once).
-    BatchCommit {
-        /// The shard the batch belongs to.
-        shard: u32,
-        /// The log slot the batch occupies.
-        slot: u64,
-        /// Number of operations the batch committed.
-        size: u64,
-    },
     /// A replicated-log height was decided: one consensus decision chose
-    /// the proposer whose published batch occupies log position `height`
-    /// (pid = the winning proposer, so each height is reported exactly
-    /// once — the log-layer analogue of [`EventKind::BatchCommit`]).
+    /// the proposer whose batch record occupies position `height` of log
+    /// `log` (pid = the winning proposer, so each height is reported
+    /// exactly once). A sharded service runs one log per shard, so `log`
+    /// is the shard.
     HeightDecide {
+        /// The log (shard) the height belongs to.
+        log: u32,
         /// The decided log height.
         height: u64,
         /// The winning proposer's pid.
@@ -216,6 +208,8 @@ pub enum EventKind {
     /// correct appliers at the same height, so any divergence (a wrong
     /// batch, an out-of-order apply) shows up as a digest mismatch.
     LogApply {
+        /// The log (shard) the entry belongs to.
+        log: u32,
         /// The height just applied (appliers go strictly 0, 1, 2, …).
         height: u64,
         /// The chained applied-prefix digest after this entry.
@@ -314,17 +308,17 @@ impl EventKind {
                 format!("{} r{reg} done", if *write { "qwrite" } else { "qread" })
             }
             EventKind::ServiceEnqueue { shard, key } => format!("enq s{shard} k{key}"),
-            EventKind::BatchCommit { shard, slot, size } => {
-                format!("batch s{shard}@{slot} ×{size}")
-            }
             EventKind::HeightDecide {
+                log,
                 height,
                 winner,
                 size,
-            } => format!("h{height} → p{winner} ×{size}"),
-            EventKind::LogApply { height, digest } => {
-                format!("apply h{height} #{digest:x}")
-            }
+            } => format!("l{log} h{height} → p{winner} ×{size}"),
+            EventKind::LogApply {
+                log,
+                height,
+                digest,
+            } => format!("apply l{log} h{height} #{digest:x}"),
             EventKind::SpanStart { span, label, .. } => format!("{label} #{span}"),
             EventKind::SpanEnd { span } => format!("end #{span}"),
             EventKind::QuorumVersion { reg, ts, wid } => format!("r{reg} v{ts}.{wid}"),
@@ -376,15 +370,6 @@ mod tests {
             "enq s2 k40"
         );
         assert_eq!(
-            EventKind::BatchCommit {
-                shard: 1,
-                slot: 9,
-                size: 128
-            }
-            .label(),
-            "batch s1@9 ×128"
-        );
-        assert_eq!(
             EventKind::SpanStart {
                 span: 7,
                 parent: 3,
@@ -396,20 +381,22 @@ mod tests {
         assert_eq!(EventKind::SpanEnd { span: 7 }.label(), "end #7");
         assert_eq!(
             EventKind::HeightDecide {
+                log: 2,
                 height: 4,
                 winner: 1,
                 size: 8
             }
             .label(),
-            "h4 → p1 ×8"
+            "l2 h4 → p1 ×8"
         );
         assert_eq!(
             EventKind::LogApply {
+                log: 2,
                 height: 4,
                 digest: 0xbeef
             }
             .label(),
-            "apply h4 #beef"
+            "apply l2 h4 #beef"
         );
         assert_eq!(
             EventKind::QuorumVersion {

@@ -320,7 +320,7 @@ impl MetricsRegistry {
                 // Service metrics are created lazily on the first service
                 // event, like the network set.
                 EventKind::ServiceEnqueue { .. } => reg.counter("service_enqueues").incr(),
-                EventKind::BatchCommit { size, .. } => {
+                EventKind::HeightDecide { size, .. } => {
                     reg.counter("batch_commits").incr();
                     reg.histogram("batch_size").record(size);
                 }

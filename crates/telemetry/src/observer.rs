@@ -102,8 +102,8 @@ mod tests {
 
     #[test]
     fn faults_only_observer_skips_hits() {
-        // Session both serializes this test against other chaos users and
-        // supplies a fault to fire.
+        // The chaos session both serializes this test against other chaos
+        // users and supplies a fault to fire.
         let _session = ChaosSession::install(&[Fault {
             pid: ProcId(0),
             point: chaos::points::DELAY,

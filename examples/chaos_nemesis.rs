@@ -11,7 +11,7 @@
 //! Pass the seed a previous run printed to replay its exact experiment.
 
 use std::time::Duration;
-use tfr::chaos::nemesis::{self, run_consensus_chaos, run_mutex_chaos};
+use tfr::chaos::nemesis::{self, run_consensus_chaos, run_mutex_chaos, Observe};
 use tfr::chaos::{assess_native_mutex, shrink, NativeAssessConfig};
 use tfr::core::mutex::fischer::Fischer;
 use tfr::core::mutex::resilient::ResilientMutex;
@@ -65,7 +65,9 @@ fn main() {
     println!("== 3. Shrinking the failing schedule ==");
     let still_fails = |faults: &[Fault]| {
         let lock = Fischer::new(2, setup.delta);
-        run_mutex_chaos(&lock, &setup.config, faults).mutual_exclusion_violated()
+        run_mutex_chaos(&lock, &setup.config, faults, Observe::None)
+            .0
+            .mutual_exclusion_violated()
     };
     let minimal = shrink(setup.faults.clone(), still_fails);
     println!(
@@ -98,7 +100,7 @@ fn main() {
     let delta = Duration::from_micros(200);
     for s in seed..seed + 4 {
         let faults = nemesis::random_consensus_schedule(s, 3, delta);
-        let r = run_consensus_chaos(delta, &[true, false, true], &faults);
+        let (r, _) = run_consensus_chaos(delta, &[true, false, true], &faults, Observe::None);
         println!(
             "   seed {s}: {} fault(s) installed, {} fired, {} crashed → decision {:?}, \
              agreement {}, validity {}",

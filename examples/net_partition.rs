@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::chaos::netfault::{apply_net_schedule, random_net_schedule};
-use tfr::chaos::{run_mutex_chaos, MutexChaosConfig};
+use tfr::chaos::{run_mutex_chaos, MutexChaosConfig, Observe};
 use tfr::core::consensus::NativeConsensus;
 use tfr::core::mutex::resilient::ResilientMutex;
 use tfr::linearize::register::{RecordingSpace, RegisterModel};
@@ -102,7 +102,7 @@ fn main() {
     // network *is* the adversary here), with its online intruder counter.
     let mut mutex_cfg = MutexChaosConfig::new(LOCK_WORKERS);
     mutex_cfg.iterations = 4;
-    let report = run_mutex_chaos(&lock, &mutex_cfg, &[]);
+    let (report, _) = run_mutex_chaos(&lock, &mutex_cfg, &[], Observe::None);
 
     let decisions: Vec<bool> = proposer_handles
         .into_iter()

@@ -13,8 +13,8 @@ use tfr::telemetry::Trace;
 fn main() {
     // 2 000 simulated clients (each with one op in flight), multiplexed
     // onto 4 worker threads, addressing keyed counters routed over 4
-    // shards — every shard is an independent universal-construction log,
-    // and one timing-resilient consensus decision commits a whole batch.
+    // shards — every shard is an independent replicated log, and one
+    // timing-resilient consensus decision commits a whole batch.
     let mut cfg = LoadConfig::new(2_000, 4, 4);
     cfg.sampling = Some(SamplingConfig::default());
     let report = run_load_native(&cfg, &Trace::default());

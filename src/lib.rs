@@ -39,10 +39,11 @@
 //!   algorithms run over it unchanged, under partitions, message drops,
 //!   and delay spikes.
 //! * [`service`] — the scale layer: a sharded wait-free object service
-//!   over the universal construction (seeded key → shard routing,
-//!   flat-combining batches so one consensus decision commits a whole
-//!   burst), plus a load harness with under-load linearizability
-//!   sampling and seeded combiner mutants proving the sampler's teeth.
+//!   with every shard a [`log`] replicated log (seeded key → shard
+//!   routing, helping batch records so one consensus decision commits
+//!   every announced op it finds), plus a load harness with under-load
+//!   linearizability sampling and seeded combiner mutants proving the
+//!   sampler's teeth.
 //! * [`telemetry`] — the unified telemetry layer: lock-free per-process
 //!   event tracing with zero-cost-when-disabled hooks across both
 //!   execution stacks, causal spans propagated through message envelopes
@@ -53,13 +54,14 @@
 //! * [`obs`] — live observability: a background collector draining event
 //!   rings *during* execution (windowed throughput, per-stage latency
 //!   percentiles, Δ and fault tracks, a text dashboard), and sound
-//!   online invariant monitors — mutual-exclusion intrusion, batch
-//!   duplicate/gap, quorum version regression, recovery-incarnation
-//!   monotonicity — that flag violations while chaos nemeses run.
-//! * [`log`] — the replication layer: a multi-height replicated log
-//!   (each height one timing-resilient consensus instance over a tiled
-//!   register arena) with batched proposals and commit pipelining
-//!   behind a pure height state machine, log-driven state-machine
+//!   online invariant monitors — mutual-exclusion intrusion, quorum
+//!   version regression, recovery-incarnation monotonicity, replicated
+//!   log prefix order — that flag violations while chaos nemeses run.
+//! * [`log`] — the replication layer and the one batched SMR engine: a
+//!   multi-height replicated log (ops announced in registers, each
+//!   height one timing-resilient consensus instance committing a
+//!   helping batch record) with commit pipelining behind a pure height
+//!   state machine, log-driven state-machine
 //!   replication of the derived objects (counter, queue, renaming),
 //!   chained prefix digests with a cross-lane audit, a recoverable
 //!   worker incarnation model, and seeded reordering mutants proving

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 use tfr::asynclock::RawLock;
-use tfr::chaos::nemesis::{self, run_consensus_chaos, run_mutex_chaos, MutexChaosConfig};
+use tfr::chaos::nemesis::{self, run_consensus_chaos, run_mutex_chaos, MutexChaosConfig, Observe};
 use tfr::chaos::{
     assess_native_mutex, random_schedule, shrink, NativeAssessConfig, ScheduleConfig,
 };
@@ -75,7 +75,7 @@ fn consensus_safe_under_random_fault_schedules() {
         let n = 2 + (seed as usize % 3);
         let inputs: Vec<bool> = (0..n).map(|i| (seed >> i) & 1 == 1).collect();
         let faults = random_schedule(seed, &ScheduleConfig::consensus(n, delta));
-        let report = run_consensus_chaos(delta, &inputs, &faults);
+        let (report, _) = run_consensus_chaos(delta, &inputs, &faults, Observe::None);
         assert!(
             report.agreement,
             "seed {seed}: agreement violated: {report:?}"
@@ -110,7 +110,7 @@ fn crashed_mutex_threads_never_poison_survivors() {
         let mut cfg = MutexChaosConfig::new(n);
         cfg.iterations = 12;
         let faults = random_schedule(seed, &ScheduleConfig::mutex(n, delta));
-        let report = run_mutex_chaos(&lock, &cfg, &faults);
+        let (report, _) = run_mutex_chaos(&lock, &cfg, &faults, Observe::None);
         assert!(!report.mutual_exclusion_violated(), "seed {seed}");
         assert_eq!(
             report.completed.len() + report.crashed.len(),
@@ -154,7 +154,9 @@ fn shrinking_reduces_a_violating_schedule_to_its_essence() {
 
     let still_fails = |faults: &[Fault]| {
         let lock = tfr::core::mutex::fischer::Fischer::new(2, setup.delta);
-        run_mutex_chaos(&lock, &setup.config, faults).mutual_exclusion_violated()
+        run_mutex_chaos(&lock, &setup.config, faults, Observe::None)
+            .0
+            .mutual_exclusion_violated()
     };
     assert!(
         still_fails(&padded),
@@ -199,7 +201,7 @@ fn crash_at_the_decide_write_cannot_break_agreement() {
             nth,
             action: FaultAction::Crash,
         }];
-        let report = run_consensus_chaos(delta, &[true, false, false], &faults);
+        let (report, _) = run_consensus_chaos(delta, &[true, false, false], &faults, Observe::None);
         assert!(report.agreement, "nth={nth}: {report:?}");
         assert!(report.validity, "nth={nth}: {report:?}");
         assert_eq!(report.decisions.len() + report.crashed.len(), 3);
@@ -236,7 +238,7 @@ fn model_counterexample_replays_on_the_native_stack() {
     let compiled = fischer_faults_from_counterexample(&cex, 2, x, Duration::from_micros(500));
     for run in 0..2 {
         let lock = Fischer::new(2, compiled.delta);
-        let report = run_mutex_chaos(&lock, &compiled.config, &compiled.faults);
+        let (report, _) = run_mutex_chaos(&lock, &compiled.config, &compiled.faults, Observe::None);
         assert!(
             report.mutual_exclusion_violated(),
             "run {run}: native replay must reproduce the model violation"

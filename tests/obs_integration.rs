@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tfr::chaos::nemesis::violation_setup_from_seed;
-use tfr::chaos::{run_mutex_chaos_observed, MutexChaosConfig};
+use tfr::chaos::{run_mutex_chaos, MutexChaosConfig, Observe};
 use tfr::core::mutex::fischer::Fischer;
 use tfr::net::{NetConfig, Network};
 use tfr::obs::{Collector, CollectorConfig};
@@ -141,9 +141,10 @@ fn net_backend_client_op_exports_a_connected_span_tree() {
     assert_eq!(starts, finishes, "every flow start pairs with a finish");
 }
 
-/// The batch monitor catches the seeded reordering mutant *while the
-/// load is still running* (the live flag flips mid-run), not just in the
-/// post-mortem — and names the right monitor.
+/// The log monitor catches the seeded reordering mutant *while the load
+/// is still running* (the live flag flips mid-run), not just in the
+/// post-mortem — and names the right monitor. The ring drops nothing, so
+/// every check is armed.
 #[test]
 fn online_monitors_flag_the_reordering_mutant_during_the_run() {
     let cfg = LoadConfig {
@@ -162,10 +163,11 @@ fn online_monitors_flag_the_reordering_mutant_during_the_run() {
     );
     run_load_native(&cfg, &Trace::attached(Arc::clone(&tracer)));
     let obs = collector.finish();
+    assert_eq!(obs.dropped, 0, "a lossless ring");
     assert!(!obs.clean(), "the mutant must be flagged");
     assert!(
-        obs.violations.iter().all(|v| v.monitor == "batch"),
-        "the duplicate (shard, slot) commits are a batch-monitor matter: {:?}",
+        obs.violations.iter().all(|v| v.monitor == "log"),
+        "the duplicate (log, height) decisions are a log-monitor matter: {:?}",
         obs.violations.first()
     );
     assert!(
@@ -196,6 +198,33 @@ fn online_monitors_stay_clean_on_the_real_combiner() {
     assert_eq!(obs.batches, report.batches);
 }
 
+/// A ring far too small for the run drops most of each lane's events.
+/// The log monitor must not read the missing `LogApply` events as height
+/// skips: it raises nothing it cannot prove, and reports its verdict as
+/// unknown instead of clean-by-silence.
+#[test]
+fn ring_overflow_leaves_the_log_monitor_unknown_not_flagged() {
+    let cfg = LoadConfig {
+        ops_per_client: 4,
+        delta: Duration::from_micros(20),
+        ..LoadConfig::new(256, 2, 2)
+    };
+    let tracer = Arc::new(Tracer::with_capacity(cfg.workers, 64));
+    let collector = Collector::spawn(
+        Arc::clone(&tracer),
+        CollectorConfig {
+            poll_interval: Duration::from_micros(500),
+            window: Duration::from_millis(100),
+        },
+    );
+    let report = run_load_native(&cfg, &Trace::attached(Arc::clone(&tracer)));
+    let obs = collector.finish();
+    assert!(report.state_ok && report.audit_complete, "workload correct");
+    assert!(obs.dropped > 0, "the ring must overflow");
+    assert!(obs.clean(), "no provable violation: {:?}", obs.violations);
+    assert_eq!(obs.unknown, vec!["log"], "silence under loss is unknown");
+}
+
 /// The mutex monitor re-detects the paper's §2 headline independently:
 /// a seeded stall breaks native Fischer on real threads, and the online
 /// monitor — watching only the lock's own trace events — flags the
@@ -208,16 +237,19 @@ fn mutex_monitor_redetects_the_fischer_violation() {
         let tracer = Arc::new(Tracer::new(setup.config.n));
         let lock = Fischer::new(setup.config.n, setup.delta)
             .with_trace(Trace::attached(Arc::clone(&tracer)));
-        let (report, obs) = run_mutex_chaos_observed(
+        let (report, obs) = run_mutex_chaos(
             &lock,
             &setup.config,
             &setup.faults,
-            &tracer,
-            CollectorConfig {
-                poll_interval: Duration::from_millis(1),
-                window: Duration::from_millis(100),
-            },
+            Observe::Observed(
+                &tracer,
+                CollectorConfig {
+                    poll_interval: Duration::from_millis(1),
+                    window: Duration::from_millis(100),
+                },
+            ),
         );
+        let obs = obs.expect("an observed run returns its report");
         if !report.mutual_exclusion_violated() {
             continue; // this seed's schedule lost the race — try the next
         }
@@ -292,8 +324,9 @@ fn observed_wrapper_is_clean_on_a_fault_free_mutex_run() {
         cs_hold: Duration::from_micros(50),
         ncs_hold: Duration::from_micros(50),
     };
-    let (report, obs) =
-        run_mutex_chaos_observed(&lock, &cfg, &[], &tracer, CollectorConfig::default());
+    let observe = Observe::Observed(&tracer, CollectorConfig::default());
+    let (report, obs) = run_mutex_chaos(&lock, &cfg, &[], observe);
+    let obs = obs.expect("an observed run returns its report");
     assert!(!report.mutual_exclusion_violated());
     assert!(obs.clean(), "no faults, no flags: {:?}", obs.violations);
     assert_eq!(obs.events as usize, tracer.events().len());

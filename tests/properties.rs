@@ -501,11 +501,13 @@ fn service_cross_shard_totals_equal_sequential_sums() {
 }
 
 /// The replicated log's register layout — three stride-3 regions
-/// (acks / arena / slots), per-height arena blocks of `n·max_batch + n`
+/// (lanes: acks, announce counters and seq-strided op payloads; records;
+/// slots), per-`(height, proposer)` records of `n`
 /// cells, and per-height consensus subspaces at stride `heights` —
 /// never aliases two logical cells onto one parent register, for
-/// arbitrary shapes. An overlap would let one height's publish clobber
-/// another's decided batch, so this is the layout's load-bearing fact.
+/// arbitrary shapes. An overlap would let one announce or record write
+/// clobber another's decided batch, so this is the layout's
+/// load-bearing fact.
 #[test]
 fn log_register_tiling_is_disjoint_across_heights_and_regions() {
     use std::collections::HashSet;
@@ -517,37 +519,49 @@ fn log_register_tiling_is_disjoint_across_heights_and_regions() {
         let n = rng.random_range(1..=8);
         let replicas = rng.random_range(0..=3);
         let heights = rng.random_range(1..=24);
-        let max_batch = rng.random_range(1..=8);
+        let seqs = rng.random_range(1..=16); // ops announced per lane
         let slot_cells = rng.random_range(1..=32); // consensus registers probed per height
-        let hstride = n * max_batch + n;
 
         let parent = Arc::new(NativeSpace::new());
-        let acks = SubSpace::new(Arc::clone(&parent), 0, 3);
-        let arena = SubSpace::new(Arc::clone(&parent), 1, 3);
+        let region = |offset| SubSpace::new(Arc::clone(&parent), offset, 3);
+        let (lanes, records) = (region(0), region(1));
+        let appliers = n + replicas;
         let mut seen = HashSet::new();
-        for lane in 0..n + replicas {
+        let mut claim = |root: u64, what: String| {
             assert!(
-                seen.insert(acks.parent_index(lane)),
-                "case {case}: ack lane {lane} aliases another cell"
+                seen.insert(root),
+                "case {case}: {what} aliases another cell"
             );
+        };
+        for lane in 0..appliers {
+            claim(lanes.parent_index(lane), format!("ack lane {lane}"));
+        }
+        for p in 0..n {
+            claim(
+                lanes.parent_index(appliers + p),
+                format!("lane {p}'s counter"),
+            );
+            for seq in 0..seqs {
+                let idx = appliers + n + p + seq * n;
+                claim(lanes.parent_index(idx), format!("op {p}/{seq}"));
+            }
         }
         for h in 0..heights {
-            for c in 0..hstride {
-                assert!(
-                    seen.insert(arena.parent_index(h * hstride + c)),
-                    "case {case}: height {h} arena cell {c} aliases another cell"
-                );
+            for q in 0..n {
+                for p in 0..n {
+                    let idx = (h * n + q) * n + p;
+                    claim(
+                        records.parent_index(idx),
+                        format!("record h{h} p{q} cell {p}"),
+                    );
+                }
             }
-            let region = SubSpace::new(Arc::clone(&parent), 2, 3);
-            let slots = SubSpace::new(region.clone(), h, heights);
+            let slots = SubSpace::new(region(2), h, heights);
             for i in 0..slot_cells {
                 // `parent_index` maps one nesting level at a time:
                 // height-local → region-local → root.
-                let root = region.parent_index(slots.parent_index(i));
-                assert!(
-                    seen.insert(root),
-                    "case {case}: height {h} slot register {i} aliases another cell"
-                );
+                let root = region(2).parent_index(slots.parent_index(i));
+                claim(root, format!("height {h} slot register {i}"));
             }
         }
     }

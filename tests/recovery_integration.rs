@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 use tfr::chaos::recovery::RecoveryChaosReport;
-use tfr::chaos::{random_schedule, run_recovery_chaos, MutexChaosConfig, ScheduleConfig};
+use tfr::chaos::{random_schedule, run_recovery_chaos, MutexChaosConfig, Observe, ScheduleConfig};
 use tfr::core::mutex::recoverable::RecoverableMutex;
 use tfr::linearize::{check_history, record_recoverable_lock, RecoverableLockModel};
 use tfr::registers::chaos::{Fault, FaultAction};
@@ -30,7 +30,7 @@ fn cfg() -> MutexChaosConfig {
 fn run_seed(seed: u64) -> (Vec<Fault>, RecoveryChaosReport) {
     let faults = random_schedule(seed, &ScheduleConfig::recoverable_mutex(N, delta()));
     let lock = RecoverableMutex::standard(N, delta());
-    let report = run_recovery_chaos(&lock, &cfg(), &faults);
+    let (report, _) = run_recovery_chaos(&lock, &cfg(), &faults, Observe::None);
     (faults, report)
 }
 

@@ -1,8 +1,8 @@
 //! End-to-end acceptance for the sharded object service under chaos:
 //! seeded schedules of stalls, permanent crash-stops, and
-//! crash-recoveries (confined to the two universal-construction points,
+//! crash-recoveries (confined to the log's announce and propose points,
 //! where a fresh incarnation provably resynchronises from the registers)
-//! against four workers driving flat-combining batches on two shards —
+//! against four workers driving batched shard logs on two shards —
 //! with **zero lost operations**: at quiescence every announced op is
 //! committed and the shard states equal the register-backed announce
 //! ground truth exactly.
@@ -105,7 +105,7 @@ fn drive_workload(svc: &ObjectService<Counter>, faults: &[Fault]) -> RunStats {
 
 /// Flushes announced-but-uncommitted leftovers (e.g. a crash-stopped
 /// worker's final burst) by enqueueing zero-amount ops on every shard
-/// from outside the chaos regime — the combiner batches *everyone's*
+/// from outside the chaos regime — a proposer's record takes *everyone's*
 /// pending ops, so a few flush rounds drain any backlog.
 fn flush(svc: &ObjectService<Counter>) {
     let mut flusher = svc.worker(ProcId(0));
@@ -135,7 +135,7 @@ fn flush(svc: &ObjectService<Counter>) {
 fn assert_nothing_lost(svc: &ObjectService<Counter>, ctx: &str) {
     let audits = svc.audit();
     for (shard, audit) in audits.iter().enumerate() {
-        assert!(audit.contiguous, "{ctx}: shard {shard} log not contiguous");
+        assert!(audit.converged(), "{ctx}: shard {shard} log not contiguous");
         assert!(
             audit.complete(),
             "{ctx}: shard {shard} lost ops (committed {:?} != announced {:?})",
@@ -163,7 +163,7 @@ fn assert_nothing_lost(svc: &ObjectService<Counter>, ctx: &str) {
 /// The acceptance sweep: twenty seeded service schedules, each drawing up
 /// to six faults. Zero lost operations on every seed, and — across the
 /// sweep — real crash-recovery traffic: incarnations must actually
-/// restart at the universal points and resume to a complete log.
+/// restart at the log points and resume to a complete log.
 #[test]
 fn seeded_service_schedules_lose_no_ops() {
     let mut total_recoveries = 0usize;
@@ -201,7 +201,7 @@ fn service_schedules_replay_and_confine_recoveries() {
             if let FaultAction::CrashRecover(down) = f.action {
                 saw_recover += 1;
                 assert!(
-                    f.point == points::UNIVERSAL_ANNOUNCE || f.point == points::UNIVERSAL_COMBINE,
+                    f.point == points::LOG_ANNOUNCE || f.point == points::LOG_PROPOSE,
                     "seed {seed}: crash-recover at unsafe point {}",
                     f.point
                 );
@@ -228,19 +228,19 @@ fn crash_recovered_incarnations_resume_to_a_complete_log() {
     let faults = vec![
         Fault {
             pid: ProcId(1),
-            point: points::UNIVERSAL_ANNOUNCE,
+            point: points::LOG_ANNOUNCE,
             nth: 2,
             action: FaultAction::CrashRecover(Duration::from_micros(200)),
         },
         Fault {
             pid: ProcId(2),
-            point: points::UNIVERSAL_ANNOUNCE,
+            point: points::LOG_ANNOUNCE,
             nth: 1,
             action: FaultAction::CrashRecover(Duration::from_micros(200)),
         },
         Fault {
             pid: ProcId(3),
-            point: points::UNIVERSAL_COMBINE,
+            point: points::LOG_PROPOSE,
             nth: 2,
             action: FaultAction::CrashRecover(Duration::from_micros(150)),
         },
