@@ -11,10 +11,11 @@
 //!   ack) at local index `a`, for the `L = n + R` appliers: the `n`
 //!   workers (lanes `0..n`) followed by the `R` passive replicas. The
 //!   cluster *floor* is the minimum over all acks; the pipeline window
-//!   is enforced against it. Then the announce state: worker `p`'s
-//!   announce counter at `L + p`, and its op `seq` (stored as `op + 1`)
-//!   at `L + n + p + seq·n`. Payloads are written before the counter
-//!   that publishes them.
+//!   is enforced against it. A window at least as wide as the height
+//!   capacity can never bind, so such a log writes no acks. Then the
+//!   announce state: worker `p`'s announce counter at `L + p`, and its
+//!   op `seq` (stored as `op + 1`) at `L + n + p + seq·n`. Payloads are
+//!   written before the counter that publishes them.
 //! * **records** (offset 1) — the batch record proposer `q` built for
 //!   height `h`: `n` cells at `(h·n + q)·n`, cell `p` holding (+1) the
 //!   end seq the record commits for lane `p`. A record starts where the
@@ -42,11 +43,14 @@
 //! which happened after its record write completed — any reader that
 //! sees the decision reads a fully written record, and every op the
 //! record names was announced (payload before counter) before `w` read
-//! the counter. Within a run a `(height, proposer)` record is written
-//! once before anyone can read it: the frontier is monotone, decided
-//! heights are never re-proposed, and a recovered incarnation
-//! resynchronises *from the registers* before its first proposal (see
-//! [`LogWorker::resumed`]).
+//! the counter. A `(height, proposer)` record never changes once a
+//! proposal could name it: within an incarnation the frontier is
+//! monotone and decided heights are never re-proposed, and the only
+//! undecided height a lost incarnation can have proposed at is the first
+//! one its successor sees undecided. There the first proposal of
+//! [`LogWorker::resumed`] re-proposes a fully written predecessor record
+//! unchanged; a partly written one proves no proposal was made, so it is
+//! rebuilt.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,9 +256,30 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
     /// Writes `pid`'s batch record for `height`: starting at lane
     /// `height mod n`, every announced op past the applied prefix `done`
     /// (`announced` is `pid`'s own counter), up to `max_batch` ops.
-    /// Returns the record's op count. Must precede the proposal.
-    fn write_record(&self, pid: ProcId, height: u64, done: &[u64], announced: u64) -> usize {
+    /// With `reuse`, a record a predecessor incarnation fully wrote is
+    /// kept as it is (a proposal may already name it). Returns the
+    /// record's op count. Must precede the proposal.
+    fn write_record(
+        &self,
+        pid: ProcId,
+        height: u64,
+        done: &[u64],
+        announced: u64,
+        reuse: bool,
+    ) -> usize {
         let n = self.cfg.n;
+        if reuse {
+            let cells: Vec<u64> = (0..n)
+                .map(|p| self.records.read(self.record_idx(height, pid.0, p)))
+                .collect();
+            if cells.iter().all(|&raw| raw != 0) {
+                return cells
+                    .iter()
+                    .zip(done)
+                    .map(|(raw, d)| raw - 1 - d)
+                    .sum::<u64>() as usize;
+            }
+        }
         let mut room = self.cfg.max_batch as u64;
         let mut ends = done.to_vec();
         for off in 0..n {
@@ -383,13 +408,19 @@ impl<T: Sequential, S: RegisterSpace> ReplicatedLog<T, S> {
         );
     }
 
-    /// Records applier `lane`'s applied-prefix length in its ack register.
+    /// Records applier `lane`'s applied-prefix length in its ack register,
+    /// unless the window can never bind (the frontier stops at the
+    /// height capacity, so nothing would read the floor).
     pub(crate) fn set_applied(&self, lane: usize, count: u64) {
         debug_assert!(lane < self.cfg.lanes());
-        self.lanes.write(lane as u64, count);
+        if self.cfg.window < self.cfg.heights as u64 {
+            self.lanes.write(lane as u64, count);
+        }
     }
 
-    /// The cluster-wide applied floor: min over every applier lane.
+    /// The cluster-wide applied floor: min over every applier lane (0 on
+    /// a log whose window is at least its height capacity: it writes no
+    /// acks).
     pub fn applied_floor(&self) -> u64 {
         (0..self.cfg.lanes() as u64)
             .map(|a| self.lanes.read(a))
@@ -479,6 +510,9 @@ pub struct LogWorker<T: Sequential, S: RegisterSpace = NativeSpace> {
     lane: Lane<T::State>,
     responses: Vec<(u64, u64)>,
     batch_sizes: Vec<usize>,
+    /// Until the first proposal: the height at which a lost predecessor
+    /// incarnation may have left a record (see the module docs).
+    prior_record: Option<u64>,
 }
 
 impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
@@ -494,6 +528,7 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
             lane,
             responses: Vec::new(),
             batch_sizes: Vec::new(),
+            prior_record: None,
         }
     }
 
@@ -503,7 +538,8 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
     /// incarnation announced but never saw committed stay pending and
     /// commit with this incarnation's next proposal (nobody awaits their
     /// responses); ops it *did* commit are in the replayed prefix,
-    /// exactly once.
+    /// exactly once. If the old incarnation was lost mid-proposal, its
+    /// record is re-proposed unchanged.
     pub fn resumed(log: Arc<ReplicatedLog<T, S>>, pid: ProcId) -> LogWorker<T, S> {
         assert!(pid.0 < log.cfg.n, "worker pid out of range");
         let (lane, malformed) = log.replay(pid);
@@ -524,6 +560,7 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
             lane,
             responses: Vec::new(),
             batch_sizes: Vec::new(),
+            prior_record: Some(frontier),
         }
     }
 
@@ -611,11 +648,13 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
                     Some(winner) => winner,
                     None => {
                         chaos::point(points::LOG_PROPOSE);
+                        let reuse = self.prior_record.take() == Some(height);
                         let size = self.log.write_record(
                             pid,
                             height,
                             &self.lane.done,
                             self.machine.announced(),
+                            reuse,
                         );
                         let winner = {
                             let _consensus = Span::enter(&self.log.trace, "consensus");
@@ -648,6 +687,10 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
                 decided
             }
             Effect::RefreshFloor => {
+                let heights = self.log.cfg.heights;
+                if self.machine.frontier() >= heights as u64 {
+                    panic!("log height capacity ({heights}) exceeded");
+                }
                 let before = self.machine.in_flight();
                 self.machine.observe_floor(self.log.applied_floor());
                 self.machine.in_flight() != before
@@ -667,20 +710,6 @@ impl<T: Sequential, S: RegisterSpace> LogWorker<T, S> {
             if !self.pump() {
                 std::thread::yield_now();
             }
-        }
-    }
-
-    /// Applies every height decided so far, without proposing anything.
-    pub fn catch_up(&mut self) {
-        loop {
-            let height = self.machine.applied();
-            let Some(winner) = self.log.decision(height) else {
-                return;
-            };
-            if height == self.machine.frontier() {
-                self.machine.observe_decided(height);
-            }
-            self.apply(height, winner);
         }
     }
 
@@ -891,6 +920,112 @@ mod tests {
         assert_eq!(*w2.state(), 17);
         let audit = log.audit(&[w2.applied_log()]);
         assert!(audit.complete(), "{:?}", audit.divergence);
+    }
+
+    #[test]
+    fn a_record_named_by_a_lost_proposal_never_changes() {
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+        use tfr_registers::chaos::{
+            install_point_observer, run_as, ChaosSession, Fault, FaultAction, PointObserver,
+            ThreadOutcome,
+        };
+
+        /// At pid 0's next `log.propose-batch` visit, lets the peer run
+        /// and waits until it is done.
+        struct Handoff(Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>);
+        impl PointObserver for Handoff {
+            fn point_hit(&self, pid: ProcId, point: &'static str) {
+                if pid.0 != 0 || point != points::LOG_PROPOSE {
+                    return;
+                }
+                if let Some((go, done)) = self.0.lock().unwrap().take() {
+                    go.send(()).unwrap();
+                    done.recv().unwrap();
+                }
+            }
+            fn fault_fired(&self, _: ProcId, _: &'static str, _: Duration, _: bool) {}
+        }
+
+        let mut c = cfg(2);
+        c.replicas = 0;
+        c.window = c.heights as u64;
+        let log = Arc::new(ReplicatedLog::new(Counter, c));
+        // A solo bit passes `consensus.round` twice, so pid 0's 16th
+        // visit comes after all 8 bits of height 0 decided its pid but
+        // before the result is written: a proposal names its record,
+        // and the height is still undecided.
+        let _session = ChaosSession::install(&[Fault {
+            pid: ProcId(0),
+            point: points::CONSENSUS_ROUND,
+            nth: 16,
+            action: FaultAction::CrashRecover(Duration::ZERO),
+        }]);
+        let lost = run_as(ProcId(0), || {
+            let mut w = LogWorker::new(Arc::clone(&log), ProcId(0));
+            w.enqueue(&[1, 2]);
+            w.drive();
+        });
+        assert!(matches!(lost, ThreadOutcome::CrashedRecoverable(_)));
+        assert_eq!(log.decision(0), None);
+
+        let (go_tx, go_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let _observer =
+            install_point_observer(Arc::new(Handoff(Mutex::new(Some((go_tx, done_rx))))));
+        let (mut resumed, mut peer) = std::thread::scope(|s| {
+            // The peer (unregistered, so unobserved) proposes at height
+            // 0 while the resumed incarnation sits between its decision
+            // check and its record write, adopts pid 0 and applies the
+            // lost proposal's record.
+            let log = &log;
+            let peer = s.spawn(move || {
+                go_rx.recv().unwrap();
+                let mut peer = LogWorker::new(Arc::clone(log), ProcId(1));
+                peer.enqueue(&[100]);
+                assert!(peer.pump());
+                assert_eq!(log.decision(0), Some(0), "the peer adopted pid 0");
+                done_tx.send(()).unwrap();
+                peer
+            });
+            let resumed = run_as(ProcId(0), || {
+                let mut w = LogWorker::resumed(Arc::clone(log), ProcId(0));
+                w.enqueue(&[10, 20]);
+                assert!(w.pump(), "publishes at height 0, decided meanwhile");
+                w
+            });
+            let ThreadOutcome::Completed(resumed) = resumed else {
+                panic!("no fault left for the resumed incarnation")
+            };
+            (resumed, peer.join().unwrap())
+        });
+        assert_eq!(*peer.state(), 3, "the peer applied the lost record");
+        assert_eq!(*resumed.state(), 3, "height 0's record did not change");
+        resumed.drive();
+        peer.drive();
+        let top = resumed.frontier().max(peer.frontier());
+        resumed.sync_to(top);
+        peer.sync_to(top);
+        assert_eq!((*resumed.state(), *peer.state()), (133, 133));
+        let audit = log.audit(&[resumed.applied_log(), peer.applied_log()]);
+        assert!(audit.complete(), "{:?}", audit.divergence);
+    }
+
+    #[test]
+    #[should_panic(expected = "log height capacity (2) exceeded")]
+    fn a_full_log_panics_even_when_a_lane_never_applies() {
+        // Window = capacity: no acks, the floor reads 0, and lane 1
+        // never applies — the third op must fail loudly, not spin on
+        // the floor.
+        let mut c = cfg(2);
+        c.replicas = 0;
+        c.heights = 2;
+        c.window = 2;
+        c.max_batch = 1;
+        let log = Arc::new(ReplicatedLog::new(Counter, c));
+        let mut w = LogWorker::new(log, ProcId(0));
+        w.enqueue(&[1, 2, 3]);
+        w.drive();
     }
 
     /// A native space that counts every access reaching it.

@@ -782,11 +782,10 @@ mod tests {
         // Hold a session throughout: sessions serialize chaos tests. A
         // test that needs no session (`points_are_inert_without_a_session`)
         // may still register a thread concurrently and reach the global
-        // observer, so this test runs as a pid no other test uses and
-        // checks that pid's hits.
-        const PID: ProcId = ProcId(41);
+        // observer, but it only visits `array.load`, so this test checks
+        // every `delay` hit, whatever its pid.
         let _session = ChaosSession::install(&[Fault {
-            pid: PID,
+            pid: ProcId(0),
             point: points::DELAY,
             nth: 2,
             action: FaultAction::Stall(Duration::from_millis(1)),
@@ -795,29 +794,29 @@ mod tests {
             hits: Mutex::new(Vec::new()),
             faults: Mutex::new(Vec::new()),
         });
-        let own_hits = || -> Vec<(usize, &'static str)> {
+        let delay_hits = || -> Vec<(usize, &'static str)> {
             let hits = rec.hits.lock().unwrap();
-            hits.iter().copied().filter(|&(p, _)| p == PID.0).collect()
+            hits.iter()
+                .copied()
+                .filter(|&(_, p)| p == points::DELAY)
+                .collect()
         };
         let guard = install_point_observer(rec.clone());
         // Unregistered threads never reach the observer.
         point(points::DELAY);
-        run_as(PID, || {
+        run_as(ProcId(0), || {
             point(points::DELAY);
             point(points::DELAY);
         });
-        assert_eq!(
-            own_hits(),
-            vec![(PID.0, points::DELAY), (PID.0, points::DELAY)]
-        );
+        assert_eq!(delay_hits(), vec![(0, points::DELAY), (0, points::DELAY)]);
         let faults = rec.faults.lock().unwrap().clone();
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].0, points::DELAY);
         assert_eq!(faults[0].1, Duration::from_millis(1));
         assert!(!faults[0].2);
         drop(guard);
-        run_as(PID, || point(points::DELAY));
-        assert_eq!(own_hits().len(), 2, "disarmed after drop");
+        run_as(ProcId(0), || point(points::DELAY));
+        assert_eq!(delay_hits().len(), 2, "disarmed after drop");
     }
 
     #[test]

@@ -553,17 +553,17 @@ fn run_mutant(cfg: &LoadConfig, trace: &Trace) -> LoadReport {
                             // Group by shard, preserving announce order.
                             let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
                             for (i, &(key, _)) in batch.iter().enumerate() {
-                                trace.emit(
-                                    pid,
-                                    EventKind::ServiceEnqueue {
-                                        shard: router.route(key) as u32,
-                                        key,
-                                    },
-                                );
                                 by_shard.entry(router.route(key)).or_default().push(i);
                             }
                             let mut responses = vec![0u64; batch.len()];
                             for (&shard, idxs) in &by_shard {
+                                trace.emit(
+                                    pid,
+                                    EventKind::ServiceEnqueue {
+                                        shard: shard as u32,
+                                        ops: idxs.len() as u32,
+                                    },
+                                );
                                 let sub: Vec<(u64, u64)> = idxs.iter().map(|&i| batch[i]).collect();
                                 let mut sub_resp = vec![0u64; sub.len()];
                                 let mut state = shard_states[shard]

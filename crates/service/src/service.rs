@@ -21,10 +21,11 @@
 //!   whose record carries every announced op of every worker the
 //!   proposer found (helping), not one per operation.
 //!
-//! Telemetry: every enqueue emits [`EventKind::ServiceEnqueue`]; each
-//! shard log emits its `HeightDecide` (by the winning worker, so each
-//! height is counted once) and `LogApply` events stamped with the shard
-//! as log id, and one `"consensus"` span per proposal.
+//! Telemetry: every per-shard announce of a burst emits one
+//! [`EventKind::ServiceEnqueue`] carrying its op count; each shard log
+//! emits its `HeightDecide` (by the winning worker, so each height is
+//! counted once) and `LogApply` events stamped with the shard as log id,
+//! and one `"consensus"` span per proposal.
 
 use crate::keyed::{encode_op, Keyed};
 use crate::router::Router;
@@ -120,6 +121,9 @@ impl<T: Sequential, S: RegisterSpace> ObjectService<T, S> {
             replicas: 0,
             heights: cfg.capacity_per_shard,
             max_batch: cfg.max_batch,
+            // The workers are the only lanes: a window as wide as the
+            // log never binds, so a crash-stopped worker stalls no one
+            // (and the log writes no acks).
             window: cfg.capacity_per_shard as u64,
             delta: cfg.delta,
         };
@@ -255,20 +259,20 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         let first_pos = self.issued;
         for (i, &(key, inner)) in ops.iter().enumerate() {
             let shard = self.svc.router.route(key);
-            trace.emit(
-                self.pid,
-                EventKind::ServiceEnqueue {
-                    shard: shard as u32,
-                    key,
-                },
-            );
             let encoded = &mut self.scratch[shard];
             let seq = self.logs[shard].announced() + encoded.len() as u64;
             self.pending[shard].push_back((seq, first_pos + i as u64, key));
             encoded.push(encode_op(key, inner));
         }
-        for (log, encoded) in self.logs.iter_mut().zip(&mut self.scratch) {
+        for (shard, (log, encoded)) in self.logs.iter_mut().zip(&mut self.scratch).enumerate() {
             if !encoded.is_empty() {
+                trace.emit(
+                    self.pid,
+                    EventKind::ServiceEnqueue {
+                        shard: shard as u32,
+                        ops: encoded.len() as u32,
+                    },
+                );
                 log.enqueue(encoded);
                 encoded.clear();
             }
@@ -325,13 +329,6 @@ impl<T: Sequential, S: RegisterSpace> ServiceWorker<'_, T, S> {
         }
         out.sort_by_key(|r| r.pos);
         out
-    }
-
-    /// Applies every shard's decided heights without proposing anything.
-    pub fn catch_up(&mut self) {
-        for log in &mut self.logs {
-            log.catch_up();
-        }
     }
 
     /// Takes the sizes of the batches whose proposal this worker won
@@ -461,9 +458,9 @@ mod tests {
     #[test]
     fn a_silent_workers_ops_commit_through_helping() {
         // Worker 0 announces and never drives again (a crash-stop, as far
-        // as the log can tell); its lane never acks a height. Worker 1's
-        // drives commit worker 0's ops anyway, and keep committing far
-        // past the dead lane's ack: nothing waits on it.
+        // as the log can tell); its lane never applies a height. Worker
+        // 1's drives commit worker 0's ops anyway, and keep committing
+        // past the dead lane: nothing waits on it.
         let cfg = ServiceConfig {
             capacity_per_shard: 32,
             ..small_cfg(1, 2)
@@ -480,7 +477,7 @@ mod tests {
         let state = svc.snapshot(0);
         assert_eq!(state.get(&7), Some(&42));
         assert_eq!(state.get(&9), Some(&20));
-        assert_eq!(svc.shards[0].applied_floor(), 0, "lane 0 never acked");
+        assert_eq!(silent.logs[0].applied_len(), 0, "lane 0 never applied");
         assert!(svc.audit()[0].heights_decided >= 20);
     }
 

@@ -179,13 +179,13 @@ pub enum EventKind {
         /// (quorum start → majority acknowledged).
         rtt_ns: u64,
     },
-    /// The sharded object service announced a client operation to a
-    /// shard's combiner (pid = the announcing worker).
+    /// The sharded object service announced `ops` client operations of
+    /// one burst to a shard's log (pid = the announcing worker).
     ServiceEnqueue {
         /// The shard the router chose.
         shard: u32,
-        /// The object key the client addressed.
-        key: u64,
+        /// How many of the burst's operations went to this shard.
+        ops: u32,
     },
     /// A replicated-log height was decided: one consensus decision chose
     /// the proposer whose batch record occupies position `height` of log
@@ -307,7 +307,7 @@ impl EventKind {
             EventKind::QuorumEnd { reg, write, .. } => {
                 format!("{} r{reg} done", if *write { "qwrite" } else { "qread" })
             }
-            EventKind::ServiceEnqueue { shard, key } => format!("enq s{shard} k{key}"),
+            EventKind::ServiceEnqueue { shard, ops } => format!("enq s{shard} ×{ops}"),
             EventKind::HeightDecide {
                 log,
                 height,
@@ -366,8 +366,8 @@ mod tests {
             "recovered #2 (repaired CS)"
         );
         assert_eq!(
-            EventKind::ServiceEnqueue { shard: 2, key: 40 }.label(),
-            "enq s2 k40"
+            EventKind::ServiceEnqueue { shard: 2, ops: 40 }.label(),
+            "enq s2 ×40"
         );
         assert_eq!(
             EventKind::SpanStart {

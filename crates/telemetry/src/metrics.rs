@@ -319,7 +319,9 @@ impl MetricsRegistry {
                 }
                 // Service metrics are created lazily on the first service
                 // event, like the network set.
-                EventKind::ServiceEnqueue { .. } => reg.counter("service_enqueues").incr(),
+                EventKind::ServiceEnqueue { ops, .. } => {
+                    reg.counter("service_enqueues").add(u64::from(ops))
+                }
                 EventKind::HeightDecide { size, .. } => {
                     reg.counter("batch_commits").incr();
                     reg.histogram("batch_size").record(size);

@@ -60,7 +60,6 @@ fn drive_workload(svc: &ObjectService<Counter>, faults: &[Fault]) -> RunStats {
                     loop {
                         let outcome = run_as(pid, || {
                             let mut worker = svc.worker(pid);
-                            worker.catch_up();
                             for r in progress.load(Ordering::SeqCst)..ROUNDS {
                                 let burst: Vec<(u64, u64)> = (0..BURST)
                                     .map(|i| {
@@ -109,7 +108,6 @@ fn drive_workload(svc: &ObjectService<Counter>, faults: &[Fault]) -> RunStats {
 /// pending ops, so a few flush rounds drain any backlog.
 fn flush(svc: &ObjectService<Counter>) {
     let mut flusher = svc.worker(ProcId(0));
-    flusher.catch_up();
     for _ in 0..64 {
         if svc.audit().iter().all(|a| a.complete()) {
             return;
